@@ -195,6 +195,7 @@ class BatchAgent:
             for peer in range(config.num_chiplets) if peer != chiplet_id}
         #: (peer, FilterUpdate) pairs queued until the batch boundary.
         self.outbox: list[tuple[int, FilterUpdate]] = []
+        self._send_seq = 0
         self.lcf_hits = 0
         self.lcf_false_positives = 0
         self.updates_sent = 0
@@ -217,19 +218,18 @@ class BatchAgent:
     def _on_l2_insert(self, entry: TlbEntry) -> None:
         self.lcf.insert(entry.vpn)
         siblings = self._sibling_vpns(entry)
-        for peer in self.rcfs:
-            self.outbox.append((peer, FilterUpdate(
-                command="add", sender=self.chiplet_id,
-                pasid=entry.pasid, vpns=siblings)))
-        self.updates_sent += len(siblings) * len(self.rcfs)
+        self._post("add", entry.pasid, siblings)
 
     def _on_l2_evict(self, entry: TlbEntry) -> None:
         self.lcf.delete(entry.vpn)
         siblings = self._sibling_vpns(entry)
-        for peer in self.rcfs:
-            self.outbox.append((peer, FilterUpdate(
-                command="delete", sender=self.chiplet_id,
-                pasid=entry.pasid, vpns=siblings)))
+        self._post("delete", entry.pasid, siblings)
+
+    def _post(self, command: str, pasid: int, siblings: tuple[int, ...]) -> None:
+        update = FilterUpdate(command=command, sender=self.chiplet_id,
+                              pasid=pasid, vpns=siblings, seq=self._send_seq)
+        self._send_seq += 1
+        self.outbox.extend((peer, update) for peer in self.rcfs)
         self.updates_sent += len(siblings) * len(self.rcfs)
 
     def apply_update(self, update: FilterUpdate) -> None:

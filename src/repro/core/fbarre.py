@@ -11,6 +11,13 @@ Each chiplet owns one :class:`CoalescingAgent` holding
 
 Filter-update messages are best-effort (no acknowledgement) and travel over
 the mesh unless oracle sharing is enabled (Fig 19's comparison point).
+
+Every peer's RCF for one sender starts empty with the same geometry and
+receives that sender's updates in send order (each mesh link is FIFO), so
+all of them are identical replicas.  One shared :class:`FilterUpdate` goes
+to every peer; the first replica to apply it computes the cuckoo inserts or
+deletes and records the effect on the update, and the others copy it (see
+:meth:`~repro.filters.cuckoo.CuckooFilter.apply_batch`).
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import Callable
 from repro.common.config import CuckooConfig
 from repro.common.stats import StatSet
 from repro.common.trace import NULL_TRACER
-from repro.filters.cuckoo import CuckooFilter
+from repro.filters.cuckoo import CuckooFilter, FilterEffect
 from repro.iommu.pec import PecLogic
 from repro.memsim.tlb import Tlb, TlbEntry
 
@@ -32,13 +39,18 @@ class FilterUpdate:
 
     The wire format is one (command, sender, coalescing VPN) message per
     VPN; the simulator batches the sibling set of one TLB insert/evict into
-    a single event and charges the link per 44-bit message.
+    a single event and charges the link per 44-bit message.  One update
+    object goes to every peer: ``seq`` is its position in the sender's
+    stream, and ``effect`` holds its recorded effect on the sender's RCF
+    replicas once the first of them has applied it.
     """
 
     command: str  # "add" | "delete"
     sender: int
     pasid: int
     vpns: tuple[int, ...]
+    seq: int
+    effect: FilterEffect | None = None
 
     def __len__(self) -> int:
         return len(self.vpns)
@@ -67,6 +79,15 @@ class CoalescingAgent:
         self.rcfs: dict[int, CuckooFilter] = {
             peer: CuckooFilter(cuckoo)
             for peer in range(num_chiplets) if peer != chiplet_id}
+        #: RCF scan order (ascending peer id).
+        self._peer_order = tuple(sorted(self.rcfs))
+        #: Position of the next update in this chiplet's update stream.
+        self._send_seq = 0
+        #: Received updates this agent's RCF computed vs copied from a
+        #: replica's recorded effect (host-side counters, not simulated
+        #: state: they stay out of ``stats`` and every serialized result).
+        self.updates_computed = 0
+        self.updates_replayed = 0
         #: Transport for filter updates; wired by the MCM to the mesh.
         self.send_update = send_update or (lambda peer, update: None)
         l2.on_insert = self._on_l2_insert
@@ -100,31 +121,36 @@ class CoalescingAgent:
         # LCF reflects actual TLB contents: exact VPN only (Section V-A2).
         if not self.lcf.insert(entry.vpn):
             self.stats.bump("lcf_insert_drops")
-        siblings = self._sibling_vpns(entry)
-        for peer in self.rcfs:
-            self.send_update(peer, FilterUpdate(
-                command="add", sender=self.chiplet_id,
-                pasid=entry.pasid, vpns=siblings))
-        self.stats.bump("updates_sent", len(siblings) * len(self.rcfs))
+        self._broadcast("add", entry)
 
     def _on_l2_evict(self, entry: TlbEntry) -> None:
         self.lcf.delete(entry.vpn)
+        self._broadcast("delete", entry)
+
+    def _broadcast(self, command: str, entry: TlbEntry) -> None:
         siblings = self._sibling_vpns(entry)
-        for peer in self.rcfs:
-            self.send_update(peer, FilterUpdate(
-                command="delete", sender=self.chiplet_id,
-                pasid=entry.pasid, vpns=siblings))
-        self.stats.bump("updates_sent", len(siblings) * len(self.rcfs))
+        update = FilterUpdate(command=command, sender=self.chiplet_id,
+                              pasid=entry.pasid, vpns=siblings,
+                              seq=self._send_seq)
+        self._send_seq += 1
+        for peer in self._peer_order:
+            self.send_update(peer, update)
+        self.stats.bump("updates_sent", len(siblings) * len(self._peer_order))
 
     def apply_update(self, update: FilterUpdate) -> None:
         """A peer's filter-update batch arrived (best effort, no ack)."""
-        rcf = self.rcfs[update.sender]
-        for vpn in update.vpns:
-            if update.command == "add":
-                if not rcf.insert(vpn):
-                    self.stats.bump("rcf_insert_drops")
-            else:
-                rcf.delete(vpn)
+        effect = self.rcfs[update.sender].apply_batch(
+            update.command == "add", update.vpns, update.seq, update.effect)
+        if effect is update.effect:
+            self.updates_replayed += 1
+        else:
+            self.updates_computed += 1
+            if effect.seq is not None:
+                update.effect = effect
+        if update.command == "add":
+            drops = effect.results.count(False)
+            if drops:
+                self.stats.bump("rcf_insert_drops", drops)
         self.stats.bump("updates_applied", len(update.vpns))
 
     # -- translation paths -----------------------------------------------------
@@ -160,7 +186,7 @@ class CoalescingAgent:
 
     def predict_sharer(self, pasid: int, vpn: int) -> int | None:
         """RCF scan: which peer likely holds a coalescing entry (Fig 11)."""
-        for peer in sorted(self.rcfs):
+        for peer in self._peer_order:
             if self.rcfs[peer].contains(vpn):
                 self._counters["rcf_hits"] += 1
                 if self._trace_on:

@@ -7,9 +7,19 @@ filters must track TLB insertions *and* evictions (Section V-A1).
 The implementation is deterministic: hashing is a fixed 64-bit mixer, and
 eviction victims are chosen round-robin per bucket, so simulations replay
 identically for a given seed.
+
+Determinism also lets identical replicas share work.  A filter fed a
+numbered stream of batches (:meth:`CuckooFilter.apply_batch`) is, before
+batch ``k``, a pure function of its geometry and batches ``0..k-1``.  The
+first replica to apply batch ``k`` records its exact :class:`FilterEffect`,
+and every other replica at the same stream position copies that effect
+instead of re-hashing and re-kicking.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.common.config import CuckooConfig
 
@@ -41,6 +51,23 @@ def _fp_xor_table(fingerprint_bits: int, row_mask: int) -> list[int]:
     return table
 
 
+@dataclass(slots=True, frozen=True)
+class FilterEffect:
+    """The exact result of one stream batch on one filter state.
+
+    ``seq`` is the batch's stream position, or None when the filter that
+    computed it had left the stream (its effect must not be shared).
+    ``rows`` holds the final contents of every row the batch changed.
+    """
+
+    config: CuckooConfig
+    seq: int | None
+    rows: tuple[tuple[int, tuple[int, ...]], ...]
+    size: int
+    kick_cursor: int
+    results: tuple[bool, ...]
+
+
 class CuckooFilter:
     """Approximate membership with insert/delete (may false-positive).
 
@@ -69,6 +96,10 @@ class CuckooFilter:
         # Above ~95% load a kick chain almost never succeeds; bail out
         # immediately instead (a dropped best-effort update, Section V-A2).
         self._kick_ceiling = int(self.config.capacity * 0.95)
+        #: Stream position for :meth:`apply_batch`: the next batch number
+        #: while the filter holds exactly batches ``0..n-1`` of its stream,
+        #: None once anything else has changed it (a private lineage).
+        self._next_seq: int | None = 0
 
     # -- hashing -----------------------------------------------------------
 
@@ -112,23 +143,29 @@ class CuckooFilter:
         fp, i1, i2 = self._candidate_rows(item)
         return fp in self._buckets[i1] or fp in self._buckets[i2]
 
-    def insert(self, item: int) -> bool:
+    def insert(self, item: int, touched: set[int] | None = None) -> bool:
         """Insert; returns False when the filter is too full (no raise).
 
         F-Barre's filter updates are best-effort (Section V-A2), so a failed
-        insertion is a dropped update, not an error.
+        insertion is a dropped update, not an error.  ``touched``, when
+        given, collects every row whose contents changed.
         """
+        self._next_seq = None
         fp, i1, i2 = self._candidate_rows(item)
         buckets = self._buckets
         bucket = buckets[i1]
         if len(bucket) < self._ways:
             bucket.append(fp)
             self._size += 1
+            if touched is not None:
+                touched.add(i1)
             return True
         bucket = buckets[i2]
         if len(bucket) < self._ways:
             bucket.append(fp)
             self._size += 1
+            if touched is not None:
+                touched.add(i2)
             return True
         if self._size >= self._kick_ceiling:
             return False  # saturated: kicking is hopeless, drop the update
@@ -152,6 +189,9 @@ class CuckooFilter:
                 bucket.append(fp)
                 self._size += 1
                 self._kick_cursor = cursor
+                if touched is not None:
+                    touched.add(row)
+                    touched.update(kicked for kicked, _slot in chain)
                 return True
         self._kick_cursor = cursor
         # Unwind the displacement chain so a failed insert drops only the
@@ -164,22 +204,62 @@ class CuckooFilter:
             bucket[slot], fp = fp, bucket[slot]
         return False
 
-    def delete(self, item: int) -> bool:
+    def delete(self, item: int, touched: set[int] | None = None) -> bool:
         """Delete one matching fingerprint; returns whether one was found."""
+        self._next_seq = None
         fp, i1, i2 = self._candidate_rows(item)
         for row in (i1, i2):
             bucket = self._buckets[row]
             if fp in bucket:
                 bucket.remove(fp)
                 self._size -= 1
+                if touched is not None:
+                    touched.add(row)
                 return True
         return False
 
+    def apply_batch(self, add: bool, items: Sequence[int], seq: int,
+                    effect: FilterEffect | None = None) -> FilterEffect:
+        """Apply stream batch ``seq``: insert (``add``) or delete ``items``.
+
+        When this filter is at stream position ``seq`` and ``effect`` is
+        that batch's recorded effect on the same geometry, the filter is
+        in exactly the state the effect was computed from, so the effect
+        is copied in.  Otherwise the batch runs item by item through
+        :meth:`insert`/:meth:`delete`; a batch out of stream order moves
+        the filter to a private lineage for good.  Returns the effect,
+        whose ``results`` are the per-item outcomes.
+        """
+        on_stream = seq == self._next_seq
+        if (on_stream and effect is not None and effect.seq == seq
+                and effect.config == self.config):
+            buckets = self._buckets
+            for row, contents in effect.rows:
+                buckets[row][:] = contents
+            self._size = effect.size
+            self._kick_cursor = effect.kick_cursor
+            self._next_seq = seq + 1
+            return effect
+        touched: set[int] = set()
+        op = self.insert if add else self.delete
+        results = tuple([op(item, touched) for item in items])
+        self._next_seq = seq + 1 if on_stream else None
+        buckets = self._buckets
+        return FilterEffect(
+            self.config, seq if on_stream else None,
+            tuple([(row, tuple(buckets[row])) for row in touched]),
+            self._size, self._kick_cursor, results)
+
     def clear(self) -> None:
-        """Drop all fingerprints (used on TLB shootdown, Section VI)."""
+        """Drop all fingerprints (used on TLB shootdown, Section VI).
+
+        Peers' replicas are not cleared at the same stream position, so a
+        cleared filter leaves its stream's lineage (see :meth:`apply_batch`).
+        """
         for bucket in self._buckets:
             bucket.clear()
         self._size = 0
+        self._next_seq = None
 
     def size_bits(self) -> int:
         """Storage cost in bits (for the Section VII-K area model)."""

@@ -34,12 +34,12 @@ immediately (fail fast, with cycle and component context).
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.common.errors import InvariantViolation, TranslationError
 from repro.common.stats import StatSet
 from repro.common.trace import RecordingTracer
-from repro.filters.cuckoo import CuckooFilter
+from repro.filters.cuckoo import CuckooFilter, FilterEffect
 from repro.memsim.tlb import MshrFile, Tlb
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,24 +77,24 @@ class CheckedCuckooFilter:
 
     def insert(self, item: int) -> bool:
         ok = self._inner.insert(item)
-        if ok:
-            self._protected[item] += 1
-            self._where[item] = self._inner._candidate_rows(item)
+        self._note_insert(item, ok)
         return ok
 
     def delete(self, item: int) -> bool:
         ok = self._inner.delete(item)
-        if self._protected.get(item, 0) > 0:
-            if not ok:
-                raise InvariantViolation(
-                    f"filter {self.name}: delete({item:#x}) found no "
-                    f"fingerprint for a key whose insert succeeded")
-            self._unprotect(item)
-        elif ok:
-            # Removed a fingerprint that was not this key's: an aliasing
-            # protected key (if any) just lost its cover.
-            self._demote_alias(item)
+        self._note_delete(item, ok)
         return ok
+
+    def apply_batch(self, add: bool, items: Sequence[int], seq: int,
+                    effect: FilterEffect | None = None) -> FilterEffect:
+        """Stream batch, computed or replayed: the shadow follows the
+        recorded per-item outcomes exactly as if each item had gone
+        through :meth:`insert`/:meth:`delete`."""
+        effect = self._inner.apply_batch(add, items, seq, effect)
+        note = self._note_insert if add else self._note_delete
+        for item, ok in zip(items, effect.results):
+            note(item, ok)
+        return effect
 
     def contains(self, item: int) -> bool:
         present = self._inner.contains(item)
@@ -117,6 +117,23 @@ class CheckedCuckooFilter:
         return getattr(self._inner, name)
 
     # -- shadow bookkeeping -------------------------------------------------
+
+    def _note_insert(self, item: int, ok: bool) -> None:
+        if ok:
+            self._protected[item] += 1
+            self._where[item] = self._inner._candidate_rows(item)
+
+    def _note_delete(self, item: int, ok: bool) -> None:
+        if self._protected.get(item, 0) > 0:
+            if not ok:
+                raise InvariantViolation(
+                    f"filter {self.name}: delete({item:#x}) found no "
+                    f"fingerprint for a key whose insert succeeded")
+            self._unprotect(item)
+        elif ok:
+            # Removed a fingerprint that was not this key's: an aliasing
+            # protected key (if any) just lost its cover.
+            self._demote_alias(item)
 
     def _unprotect(self, item: int) -> None:
         self._protected[item] -= 1

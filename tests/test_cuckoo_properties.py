@@ -137,3 +137,71 @@ def test_saturation_is_graceful_across_geometries(ways):
     assert len(accepted) == len(f) <= f.config.capacity
     for key in accepted:
         assert f.contains(key)
+
+
+# -- replicated streams ------------------------------------------------------
+
+#: Stream batches: (add?, keys).  A tight geometry and a small key pool
+#: make kicks, dropped inserts, aliasing and missed deletes common.
+BATCHES = st.lists(st.tuples(st.booleans(),
+                             st.lists(st.integers(min_value=0, max_value=47),
+                                      min_size=1, max_size=6)),
+                   min_size=2, max_size=40)
+
+
+def tight_filter() -> CuckooFilter:
+    return CuckooFilter(CuckooConfig(rows=8, ways=2, fingerprint_bits=6,
+                                     max_kicks=8))
+
+
+def filter_state(f: CuckooFilter):
+    return [list(b) for b in f._buckets], f._size, f._kick_cursor
+
+
+@settings(max_examples=80, deadline=None)
+@given(batches=BATCHES, cut=st.integers(min_value=0, max_value=39),
+       disorder=st.sampled_from(["skip", "swap"]))
+def test_property_replayed_replicas_match_item_by_item_filters(
+        batches, cut, disorder):
+    """Three replicas share recorded effects; each matches a plain filter.
+
+    Replica 0 gets the stream in order.  Replica 1 is cleared after batch
+    ``cut``.  Replica 2 misses batch ``cut`` (``skip``) or gets ``cut`` and
+    ``cut + 1`` reordered (``swap``).  Each plain reference filter applies
+    exactly what its replica received, item by item.
+    """
+    cut = min(cut, len(batches) - 2)
+    stream = list(enumerate(batches))
+    perturbed = list(stream)
+    if disorder == "skip":
+        del perturbed[cut]
+    else:
+        perturbed[cut], perturbed[cut + 1] = perturbed[cut + 1], perturbed[cut]
+    deliveries = [stream, stream, perturbed]
+    replicas = [tight_filter() for _ in range(3)]
+    references = [tight_filter() for _ in range(3)]
+    shared: dict[int, object] = {}
+    replays = 0
+    for step in range(len(stream)):
+        for r in (step % 3, (step + 1) % 3, (step + 2) % 3):
+            if step >= len(deliveries[r]):
+                continue
+            seq, (add, keys) = deliveries[r][step]
+            given_effect = shared.get(seq)
+            effect = replicas[r].apply_batch(add, keys, seq, given_effect)
+            if effect is given_effect:
+                replays += 1
+            elif effect.seq is not None:
+                shared[seq] = effect
+            op = references[r].insert if add else references[r].delete
+            assert list(effect.results) == [op(key) for key in keys]
+            if (r == 1 and step > cut) or (r == 2 and step >= cut):
+                # Off the lineage for good: computed, never shared.
+                assert effect is not given_effect and effect.seq is None
+                assert replicas[r]._next_seq is None
+            if r == 1 and step == cut:
+                replicas[1].clear()
+                references[1].clear()
+            assert filter_state(replicas[r]) == filter_state(references[r])
+    assert replays > 0
+    assert replicas[0]._next_seq == len(stream)

@@ -4,6 +4,8 @@ import pytest
 
 from repro.common import CuckooConfig, MemoryMap, MappingKind, TlbConfig
 from repro.core import CoalescingAgent, FilterUpdate
+from repro.experiments import configs
+from repro.gpu import McmGpuSimulator
 from repro.iommu import PecLogic
 from repro.mapping import (
     AllocationRequest,
@@ -13,6 +15,7 @@ from repro.mapping import (
     make_policy,
 )
 from repro.memsim import AddressSpaceRegistry, Tlb, TlbEntry
+from repro.validation import fuzz_workload
 
 
 class Harness:
@@ -189,3 +192,45 @@ def test_uncoalesced_entry_updates_exact_vpn_only():
     adds = [u for _s, _p, u in h.sent if u.command == "add"]
     assert len(adds) == 3  # one batch per peer
     assert all(u.vpns == (rec.start_vpn,) for u in adds)
+
+
+def test_one_shared_update_is_computed_once_then_replayed():
+    h = Harness()
+    rec = h.alloc(pages=4)
+    h.l2s[0].insert(h.entry_for(rec.start_vpn, rec.descriptor))
+    updates = {id(u) for _s, _p, u in h.sent}
+    assert len(updates) == 1 and h.sent[0][2].seq == 0
+    # Peer 1 applies first and records the effect; peers 2 and 3 copy it.
+    assert [h.agents[p].updates_computed for p in (1, 2, 3)] == [1, 0, 0]
+    assert [h.agents[p].updates_replayed for p in (1, 2, 3)] == [0, 1, 1]
+    buckets = [h.agents[p].rcfs[0]._buckets for p in (1, 2, 3)]
+    assert buckets[0] == buckets[1] == buckets[2]
+
+
+def test_cleared_replica_computes_its_own_updates():
+    h = Harness()
+    rec = h.alloc(pages=8)
+    h.agents[2].rcfs[0].clear()
+    h.l2s[0].insert(h.entry_for(rec.start_vpn, rec.descriptor))
+    assert h.agents[2].updates_computed == 1
+    assert h.agents[3].updates_replayed == 1
+    for sibling in h.sent[-1][2].vpns:
+        assert h.agents[2].rcfs[0].contains(sibling)
+
+
+@pytest.mark.parametrize("chiplets", [4, 8])
+def test_every_update_is_computed_once_per_run(chiplets):
+    """N-1 identical RCF replicas: one computes, N-2 replay each update."""
+    sim = McmGpuSimulator(configs.fbarre(seed=1, num_chiplets=chiplets),
+                          [fuzz_workload(1)])
+    sim.run()
+    agents = list(sim.agents.values())
+    sent = sum(agent._send_seq for agent in agents)
+    assert sent > 0
+    assert sum(agent.updates_computed for agent in agents) == sent
+    assert sum(agent.updates_replayed for agent in agents) == \
+        (chiplets - 2) * sent
+    # Host-side counters only: simulated stats (and results) never see them.
+    for agent in agents:
+        assert not {"updates_computed", "updates_replayed"} & set(
+            agent.stats.counters)

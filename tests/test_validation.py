@@ -5,6 +5,8 @@ invariant checker, and the differential harness — including the
 fault-injection path that proves the harness actually detects bugs.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.common import CuckooConfig, InvariantViolation
@@ -176,6 +178,34 @@ def test_shadow_filter_clear_resets_protection():
     proxy.insert(3)
     proxy.clear()
     assert not proxy.contains(3)  # no violation: protection cleared too
+
+
+def test_replayed_rcf_replicas_keep_their_shadow():
+    """Replayed RCF updates feed the shadow: corruption is still caught."""
+    sim = McmGpuSimulator(configs.fbarre(seed=1), [fuzz_workload(1)],
+                          check_invariants=True)
+    replayed: Counter[str] = Counter()  # per RCF: batches copied in
+    for agent in sim.agents.values():
+        for proxy in agent.rcfs.values():
+            def counting(add, items, seq, effect=None,
+                         _apply=proxy._inner.apply_batch, _name=proxy.name):
+                out = _apply(add, items, seq, effect)
+                replayed[_name] += out is effect
+                return out
+            proxy._inner.apply_batch = counting
+    sim.run()
+    rcfs = [p for a in sim.agents.values() for p in a.rcfs.values()]
+    assert all(isinstance(p, CheckedCuckooFilter) and p._protected
+               for p in rcfs)
+    victim = max(rcfs, key=lambda p: replayed[p.name])
+    assert replayed[victim.name] > 0
+    key = next(iter(victim._protected))
+    fp, i1, i2 = victim._inner._candidate_rows(key)
+    for row in (i1, i2):
+        bucket = victim._inner._buckets[row]
+        bucket[:] = [f for f in bucket if f != fp]
+    with pytest.raises(InvariantViolation, match="vanished"):
+        victim.check_all_resident()
 
 
 # -- differential harness --------------------------------------------------
