@@ -14,8 +14,8 @@ gates three properties:
    ``MIN_CORES``+ cores (CI runners); on a single-core box two workers
    cannot beat one, so the floor is reported but skipped.
 
-The ratio is paired and same-process, so no calibration loop is needed
-(same rationale as ``bench_batch_engine.py``).  Usage::
+The ratio is paired and same-process: both sides run on the same machine
+moments apart, so no calibration loop is needed.  Usage::
 
     PYTHONPATH=src python benchmarks/bench_distributed_sweep.py
     PYTHONPATH=src python benchmarks/bench_distributed_sweep.py \

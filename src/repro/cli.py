@@ -136,17 +136,12 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="test-only: add OFFSET to every "
                                "PEC-calculated PFN and prove the harness "
                                "catches it (expect failures)")
-    validate.add_argument("--engine", default="event",
-                          choices=("event", "batch"),
-                          help="execution engine under test (default "
-                               "event; batch = vectorized engine, "
-                               "ats/barre/fbarre schemes only)")
     validate.add_argument("--scenario", default=None, metavar="NAME",
                           help="validate multi-tenant churn timelines "
                                "instead of single fuzz apps: 'churn' = "
                                "fuzzed scenario per seed, or a pinned "
                                "name (churn-min, churn-small, "
-                               "multi-tenant); event engine only")
+                               "multi-tenant)")
     validate.add_argument("--inject-stale-entry", action="store_true",
                           help="test-only: resurrect one TLB entry of a "
                                "departing tenant and prove the teardown "
@@ -168,13 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--scheduler", choices=SWEEP_SCHEDULERS, default=None,
                        help="default miss scheduler for jobs "
                             "(default: REPRO_SCHEDULER or affinity)")
-    serve.add_argument("--quota-points", type=int, default=2000,
-                       help="per-client simulation-point budget per "
-                            "window (default 2000)")
-    serve.add_argument("--quota-window", type=float, default=60.0,
-                       help="quota window in seconds (default 60)")
-    serve.add_argument("--quota-jobs", type=int, default=4,
-                       help="per-client concurrent-job cap (default 4)")
     serve.add_argument("--on-shutdown", choices=("drain", "cancel"),
                        default="drain",
                        help="SIGINT/SIGTERM behaviour: drain waits for "
@@ -381,7 +369,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     report = run_validation(schemes, seeds, trace_scale=args.scale,
                             check_invariants=not args.no_invariants,
                             inject_pec_offset=args.inject_pec_bug,
-                            engine=args.engine,
                             scenario=args.scenario,
                             inject_stale_entry=args.inject_stale_entry)
     print(report.describe())
@@ -391,17 +378,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import (
         JobStore,
-        QuotaPolicy,
         ServiceApp,
         serve_forever,
     )
 
-    store = JobStore(
-        quota=QuotaPolicy(points_per_window=args.quota_points,
-                          window_seconds=args.quota_window,
-                          max_concurrent_jobs=args.quota_jobs),
-        job_slots=args.job_slots, sweep_jobs=args.jobs,
-        scheduler=args.scheduler)
+    store = JobStore(job_slots=args.job_slots, sweep_jobs=args.jobs,
+                     scheduler=args.scheduler)
     return serve_forever(ServiceApp(store), args.host, args.port,
                          on_shutdown=args.on_shutdown)
 

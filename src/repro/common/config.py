@@ -218,13 +218,6 @@ class SimConfig:
     #: mesh bandwidth (Fig 19's comparison point).
     oracle_sharing: bool = False
 
-    #: Execution engine: "event" is the reference event-queue simulator;
-    #: "batch" advances batches of translations through numpy-vectorized
-    #: stages (:mod:`repro.batch`) with oracle-identical mappings and a
-    #: documented cycle-level tolerance.  Part of every cache key, so
-    #: results from different engines never collide.
-    engine: str = "event"
-
     seed: int = 2024
 
     def __post_init__(self) -> None:
@@ -246,9 +239,6 @@ class SimConfig:
             raise ConfigError("GMMU needs at least one walker per chiplet")
         if self.fault_latency <= 0:
             raise ConfigError("fault latency must be positive")
-        if self.engine not in ("event", "batch"):
-            raise ConfigError(
-                f"unknown engine {self.engine!r}; use 'event' or 'batch'")
         if self.demand_paging and self.migration.enabled:
             raise ConfigError(
                 "demand paging and migration are separate studies; "

@@ -65,7 +65,6 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
 
-from repro.batch import resolve_engine_config
 from repro.common import metrics
 from repro.common.config import SimConfig
 from repro.experiments import runner
@@ -103,21 +102,8 @@ def claim_stale_s() -> float:
 # Wire codec: SimConfig / SweepPoint <-> JSON
 # --------------------------------------------------------------------------
 
-def config_to_wire(config: SimConfig) -> dict:
-    """Encode a config as plain JSON (enums by value, dataclasses nested)."""
-    def encode(value):
-        if is_dataclass(value) and not isinstance(value, type):
-            return {f.name: encode(getattr(value, f.name))
-                    for f in fields(value)}
-        if hasattr(value, "value"):
-            return value.value
-        return value
-
-    return encode(config)
-
-
 def config_from_wire(data: dict) -> SimConfig:
-    """Rebuild a :class:`SimConfig` from :func:`config_to_wire` output."""
+    """Rebuild a :class:`SimConfig` from :func:`runner.encode_config` output."""
     def decode(cls, value):
         if is_dataclass(cls):
             hints = get_type_hints(cls)
@@ -133,15 +119,14 @@ def config_from_wire(data: dict) -> SimConfig:
 def point_to_wire(point: SweepPoint) -> dict | None:
     """Encode a point for a remote worker, or None if it cannot travel.
 
-    The config is engine-resolved and the scale pinned *here*, on the
-    coordinator, so a worker with different ``REPRO_ENGINE`` /
-    ``REPRO_BENCH_SCALE`` settings still computes the identical cache
+    The scale is pinned *here*, on the coordinator, so a worker with a
+    different ``REPRO_BENCH_SCALE`` still computes the identical cache
     key.  Points carrying a pre-built :class:`Workload` object are not
     JSON-shippable and must run on the coordinator.
     """
     if not isinstance(point.app, str):
         return None
-    return {"config": config_to_wire(resolve_engine_config(point.config)),
+    return {"config": runner.encode_config(point.config),
             "app": point.app,
             "scale": point.resolved_scale(),
             "workload_tag": point.workload_tag,

@@ -41,11 +41,10 @@ import warnings
 from pathlib import Path
 from typing import Callable
 
-from repro.batch import make_simulator, resolve_engine_config
 from repro.common import metrics
 from repro.common.config import SimConfig
 from repro.common.stats import Histogram, LatencyHistogram
-from repro.gpu.mcm import SimResult
+from repro.gpu.mcm import McmGpuSimulator, SimResult
 from repro.workloads.base import Workload
 from repro.workloads.suite import get_workload
 
@@ -120,16 +119,20 @@ def _cache_dir(create: bool = False) -> Path | None:
     return path
 
 
-def _config_key(config: SimConfig) -> str:
-    def encode(value):
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            return {f.name: encode(getattr(value, f.name))
-                    for f in dataclasses.fields(value)}
-        if hasattr(value, "value"):
-            return value.value
-        return value
+def encode_config(value):
+    """A config as plain JSON data: dataclasses to dicts, enums to values."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: encode_config(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if hasattr(value, "value"):
+        return value.value
+    return value
 
-    return json.dumps(encode(config), sort_keys=True)
+
+def _config_key(config: SimConfig) -> str:
+    # A retired config field, kept as a constant so point keys do not move.
+    return json.dumps({**encode_config(config), "engine": "event"},
+                      sort_keys=True)
 
 
 def point_key(config: SimConfig, abbr: str, scale: float,
@@ -137,13 +140,8 @@ def point_key(config: SimConfig, abbr: str, scale: float,
     """The canonical cache key of one simulation point.
 
     Identical in every process — it is what makes a worker-pool fill
-    land on the same file a serial ``run_point`` would use.  The
-    ``REPRO_ENGINE`` override is folded into the config first (the
-    ``engine`` field is part of the canonical config JSON), so results
-    produced by different engines always live under distinct keys —
-    env-switched runs can never read or poison event-engine entries.
+    land on the same file a serial ``run_point`` would use.
     """
-    config = resolve_engine_config(config)
     return "|".join([SIM_VERSION, _config_key(config), abbr,
                      f"{scale:.4f}", workload_tag])
 
@@ -250,7 +248,6 @@ def _write_key_manifest(path: Path, config: SimConfig, abbr: str,
         return
     payload = {"sim_version": SIM_VERSION, "app": abbr,
                "scale": scale, "tag": tag, "file": path.name,
-               "engine": config.engine,
                "config": _config_key(config)}
     try:
         manifest.parent.mkdir(parents=True, exist_ok=True)
@@ -560,7 +557,6 @@ def run_point(config: SimConfig, app: str | Workload,
     (pass ``workload_tag`` to make cache keys of modified workloads unique,
     e.g. ``"x16"`` for Fig 24's scaled inputs).
     """
-    config = resolve_engine_config(config)
     scale = bench_scale() if scale is None else scale
     sink = _collect_sink()
     if sink is not None:
@@ -571,14 +567,14 @@ def run_point(config: SimConfig, app: str | Workload,
     path = _point_path(config, workload.abbr, scale, workload_tag)
     return _fill_point(
         path,
-        lambda: make_simulator(config, [workload], trace_scale=scale).run(),
+        lambda: McmGpuSimulator(config, [workload],
+                                trace_scale=scale).run(),
         key_meta=lambda: (config, workload.abbr, scale, workload_tag))
 
 
 def run_pair(config: SimConfig, app_a: str, app_b: str,
              scale: float | None = None) -> SimResult:
     """Multi-programming point: two apps co-scheduled (Section VII-I)."""
-    config = resolve_engine_config(config)
     scale = bench_scale() if scale is None else scale
     sink = _collect_sink()
     if sink is not None:
@@ -589,8 +585,8 @@ def run_pair(config: SimConfig, app_a: str, app_b: str,
         first = get_workload(app_a)
         second = get_workload(app_b)
         second.pasid = 1
-        return make_simulator(config, [first, second],
-                              trace_scale=scale).run()
+        return McmGpuSimulator(config, [first, second],
+                               trace_scale=scale).run()
 
     path = _point_path(config, app_a, scale, f"pair-{app_b}")
     return _fill_point(path, compute,

@@ -11,8 +11,6 @@ rename fills.  Start it with ``python -m repro serve``.
 Layers (each importable on its own):
 
 * :mod:`repro.service.schemas` — strict request validation;
-* :mod:`repro.service.quotas`  — per-client points-per-window budget and
-  concurrent-job cap;
 * :mod:`repro.service.jobs`    — the job store and lifecycle state
   machine over :class:`repro.experiments.sweep.SweepJob`;
 * :mod:`repro.service.app`     — routing, HTTP framing, server runners.
@@ -27,12 +25,10 @@ from repro.service.app import (
     serve_forever,
 )
 from repro.service.jobs import JobStore, StoreClosing
-from repro.service.quotas import QuotaExceeded, QuotaLedger, QuotaPolicy
 from repro.service.schemas import JobSpec, SchemaError, parse_job_request
 
 __all__ = [
     "ROUTES", "BackgroundServer", "ServiceApp", "serve_forever",
     "JobStore", "StoreClosing",
-    "QuotaExceeded", "QuotaLedger", "QuotaPolicy",
     "JobSpec", "SchemaError", "parse_job_request",
 ]

@@ -17,7 +17,7 @@ GET    /jobs               list jobs (``?state=``, ``?limit=``;
 GET    /jobs/{id}          one job: state, progress, result
 DELETE /jobs/{id}          cancel (point-boundary deterministic)
 GET    /results/{key}      raw cached payload by point digest
-GET    /stats              job counts + per-client quota usage
+GET    /stats              uptime + job counts
 GET    /metrics            Prometheus text exposition of the registry
 GET    /sweeps             result-cache catalog (decoded points)
 GET    /sweeps/{digest}    one cached point: key components + payload
@@ -42,10 +42,9 @@ from dataclasses import dataclass, field
 
 from repro.common import metrics
 from repro.service.jobs import JobStore, StoreClosing
-from repro.service.quotas import QuotaExceeded
 from repro.service.schemas import SchemaError, parse_job_request
 
-#: Client identity header; absent means the shared "anonymous" bucket.
+#: Client identity header naming a job's owner; absent means "anonymous".
 TOKEN_HEADER = "x-repro-token"
 
 #: Largest accepted request body (a 2048-point job is ~200 KB of JSON).
@@ -81,7 +80,7 @@ ROUTES: tuple[Route, ...] = (
     Route("GET", "/results/{key}", "handle_get_result",
           "raw cached result payload by point digest"),
     Route("GET", "/stats", "handle_stats",
-          "job counts and per-client quota usage"),
+          "uptime and job counts by state"),
     Route("GET", "/metrics", "handle_metrics",
           "metrics registry in Prometheus text exposition format"),
     Route("GET", "/sweeps", "handle_sweeps",
@@ -92,7 +91,7 @@ ROUTES: tuple[Route, ...] = (
 
 _STATUS_TEXT = {200: "OK", 202: "Accepted", 400: "Bad Request",
                 404: "Not Found", 405: "Method Not Allowed",
-                413: "Payload Too Large", 429: "Too Many Requests",
+                413: "Payload Too Large",
                 500: "Internal Server Error", 503: "Service Unavailable"}
 
 
@@ -101,20 +100,15 @@ class Response:
     status: int = 200
     body: bytes = b""
     content_type: str = "application/json"
-    headers: dict = field(default_factory=dict)
 
     @classmethod
-    def json(cls, payload, status: int = 200,
-             headers: dict | None = None) -> "Response":
+    def json(cls, payload, status: int = 200) -> "Response":
         return cls(status=status,
-                   body=(json.dumps(payload, default=str) + "\n").encode(),
-                   headers=headers or {})
+                   body=(json.dumps(payload, default=str) + "\n").encode())
 
     @classmethod
-    def error(cls, status: int, message: str,
-              headers: dict | None = None) -> "Response":
-        return cls.json({"error": message, "status": status}, status=status,
-                        headers=headers)
+    def error(cls, status: int, message: str) -> "Response":
+        return cls.json({"error": message, "status": status}, status=status)
 
     def encode(self) -> bytes:
         head = [f"HTTP/1.1 {self.status} "
@@ -122,7 +116,6 @@ class Response:
                 f"Content-Type: {self.content_type}",
                 f"Content-Length: {len(self.body)}",
                 "Connection: close"]
-        head.extend(f"{k}: {v}" for k, v in self.headers.items())
         return ("\r\n".join(head) + "\r\n\r\n").encode() + self.body
 
 
@@ -174,15 +167,6 @@ class ServiceApp:
                 headers, body, query, **params)
         except SchemaError as exc:
             return Response.error(400, str(exc))
-        except QuotaExceeded as exc:
-            metrics.METRICS.counter(
-                "repro_quota_rejections_total",
-                "submissions rejected by the quota ledger").inc()
-            headers_out = {}
-            if exc.retry_after is not None:
-                headers_out["Retry-After"] = str(
-                    max(1, round(exc.retry_after)))
-            return Response.error(429, exc.reason, headers=headers_out)
         except StoreClosing as exc:
             return Response.error(503, str(exc))
 
@@ -270,13 +254,10 @@ class ServiceApp:
 
     def handle_stats(self, headers, body, query) -> Response:
         import time
-        quota = self.store.quota
         return Response.json({
             "uptime_seconds": round(time.time() - self.store.started_at, 3),
             "closing": self.store.closing,
             "jobs": self.store.counts(),
-            "clients": {token: quota.usage(token)
-                        for token in quota.tokens()},
         })
 
     def handle_metrics(self, headers, body, query) -> Response:

@@ -31,7 +31,6 @@ import traceback as traceback_module
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.common import metrics
-from repro.service.quotas import QuotaLedger, QuotaPolicy
 from repro.service.schemas import JobSpec
 
 #: Longest traceback a failed job's payload carries (tail-truncated —
@@ -67,15 +66,6 @@ class Job:
         self.cancel_event = threading.Event()
         self.sweep_job = None           #: SweepJob once running (points/figure)
         self.event_log = None           #: RunEventLog once running (sweeps)
-        self.quota_released = False
-
-    @property
-    def cost(self) -> int:
-        """Quota charge in points (validate runs cost schemes x seeds)."""
-        if self.spec.kind == "validate":
-            return (len(self.spec.validate_schemes)
-                    * self.spec.validate_seeds)
-        return len(self.points)
 
     def progress(self) -> dict:
         if self.sweep_job is not None:
@@ -91,7 +81,6 @@ class Job:
             "label": self.spec.describe(),
             "state": self.state,
             "token": self.token,
-            "cost_points": self.cost,
             "created": self.created,
             "started": self.started,
             "finished": self.finished,
@@ -120,13 +109,8 @@ class JobStore:
     override within schema bounds.
     """
 
-    def __init__(self, quota: QuotaPolicy | QuotaLedger | None = None,
-                 job_slots: int = 2, sweep_jobs: int | None = None,
+    def __init__(self, job_slots: int = 2, sweep_jobs: int | None = None,
                  scheduler: str | None = None):
-        if isinstance(quota, QuotaLedger):
-            self.quota = quota
-        else:
-            self.quota = QuotaLedger(quota or QuotaPolicy())
         self.sweep_jobs = sweep_jobs
         self.scheduler = scheduler
         self._jobs: dict[str, Job] = {}
@@ -152,10 +136,8 @@ class JobStore:
     def submit(self, spec: JobSpec, token: str) -> Job:
         """Admit, register, and enqueue a job.
 
-        Raises :class:`StoreClosing` during shutdown and
-        :class:`~repro.service.quotas.QuotaExceeded` when the token is
-        over budget — in both cases nothing is registered or charged
-        (admission and charging are atomic inside the ledger).
+        Raises :class:`StoreClosing` during shutdown, with nothing
+        registered.
         """
         if self._closing:
             raise StoreClosing("service is shutting down; not accepting jobs")
@@ -164,10 +146,8 @@ class JobStore:
             self._counter += 1
             job_id = f"j{self._counter:06d}"
         job = Job(job_id, spec, token, points)
-        self.quota.admit(token, job.cost)   # raises before any registration
         with self._lock:
             if self._closing:
-                self.quota.release(token)
                 raise StoreClosing(
                     "service is shutting down; not accepting jobs")
             self._jobs[job_id] = job
@@ -189,9 +169,6 @@ class JobStore:
             job.error_type = error_type
             job.traceback = trace
             job.finished = time.time()
-            if not job.quota_released:
-                job.quota_released = True
-                self.quota.release(job.token)
         if job.event_log is not None:
             job.event_log.close()
         metrics.METRICS.counter(
@@ -302,10 +279,8 @@ class JobStore:
                            spec.validate_seed_start + spec.validate_seeds))
         report = run_validation(list(spec.validate_schemes), seeds,
                                 trace_scale=spec.scale or 1.0,
-                                check_invariants=True,
-                                engine=spec.validate_engine)
-        return {"ok": report.ok, "engine": spec.validate_engine,
-                "summary": report.describe()}
+                                check_invariants=True)
+        return {"ok": report.ok, "summary": report.describe()}
 
     # -- queries and control ------------------------------------------------
 
@@ -333,9 +308,6 @@ class JobStore:
                 job.state = "cancelled"
                 job.error = "cancelled while queued"
                 job.finished = time.time()
-                if not job.quota_released:
-                    job.quota_released = True
-                    self.quota.release(job.token)
                 return job
         if job.state == "running":
             job.cancel_event.set()

@@ -98,7 +98,6 @@ class JobSpec:
     validate_schemes: tuple[str, ...] = ()
     validate_seeds: int = 0
     validate_seed_start: int = 0
-    validate_engine: str = "event"  #: execution engine under test
     scale: float | None = None
     sweep_jobs: int | None = None   #: worker override for this job
     scheduler: str | None = None    #: sweep scheduler override
@@ -107,10 +106,8 @@ class JobSpec:
         if self.kind == "figure":
             return f"figure {self.figure}"
         if self.kind == "validate":
-            engine = (f" [{self.validate_engine}]"
-                      if self.validate_engine != "event" else "")
             return (f"validate {','.join(self.validate_schemes)} "
-                    f"x{self.validate_seeds} seeds{engine}")
+                    f"x{self.validate_seeds} seeds")
         return f"{len(self.points)} explicit points"
 
 
@@ -187,8 +184,7 @@ def parse_job_request(payload) -> JobSpec:
     body = payload["validate"]
     if not isinstance(body, dict):
         raise SchemaError("validate must be an object")
-    _require_keys(body, {"schemes", "seeds", "seed_start", "engine"},
-                  "validate")
+    _require_keys(body, {"schemes", "seeds", "seed_start"}, "validate")
     from repro.validation.differential import SCHEME_FACTORIES
     schemes = body.get("schemes")
     if (not isinstance(schemes, list) or not schemes
@@ -203,16 +199,6 @@ def parse_job_request(payload) -> JobSpec:
     seed_start = body.get("seed_start", 0)
     if not isinstance(seed_start, int) or seed_start < 0:
         raise SchemaError("validate.seed_start must be a non-negative int")
-    engine = body.get("engine", "event")
-    if engine not in ("event", "batch"):
-        raise SchemaError("validate.engine must be 'event' or 'batch'")
-    if engine == "batch":
-        supported = {"ats", "baseline", "barre", "fbarre"}
-        bad = [s for s in schemes if s not in supported]
-        if bad:
-            raise SchemaError(
-                f"validate.schemes {', '.join(bad)} are not supported by "
-                f"the batch engine (use {', '.join(sorted(supported))})")
     return JobSpec(kind="validate", validate_schemes=tuple(schemes),
                    validate_seeds=seeds, validate_seed_start=seed_start,
-                   validate_engine=engine, **common)
+                   **common)

@@ -137,16 +137,9 @@ class ValidationReport:
 
 def _inject_pec_offset(sim, offset: int) -> None:
     """Arm the test-only PEC fault on every PEC datapath in ``sim``."""
-    pecs = []
-    if isinstance(sim, McmGpuSimulator):
-        if sim.iommu is not None:
-            pecs.append(sim.iommu.pec)
-        pecs.extend(gmmu.pec for gmmu in sim.gmmus)
-        pecs.extend(agent.pec for agent in sim.agents.values())
-    else:  # BatchSimulator: IOMMU-side PEC + per-chiplet agent PECs
-        pecs.append(sim.pec)
-        pecs.extend(state.agent.pec for state in sim.chiplets
-                    if state.agent is not None)
+    pecs = [sim.iommu.pec] if sim.iommu is not None else []
+    pecs.extend(gmmu.pec for gmmu in sim.gmmus)
+    pecs.extend(agent.pec for agent in sim.agents.values())
     for pec in pecs:
         pec.inject_pfn_offset = offset
 
@@ -180,16 +173,9 @@ def validate_point(scheme: str, config: SimConfig,
                    check_invariants: bool = True,
                    inject_pec_offset: int = 0,
                    attach_spans: bool = True,
-                   engine: str = "event",
                    inject_stale_entry: bool = False,
                    ) -> tuple[SchemeRun, list[Divergence]]:
     """Run one scheme on one point and compare every PFN to the oracle.
-
-    ``engine="batch"`` runs the vectorized batch engine instead of the
-    event engine against the very same oracle.  The batch engine has no
-    tracer or runtime invariant checker, so divergence reports carry no
-    span and ``check_invariants`` is ignored; the oracle comparison — the
-    exactness contract both engines share — is identical.
 
     Scenario (multi-tenant churn) points additionally enforce the two
     churn property laws: **no stale translation** (a PFN delivered for a
@@ -201,17 +187,8 @@ def validate_point(scheme: str, config: SimConfig,
                 if len(workloads) == 1 else None)
     ref = reference_translation(config, workloads, trace_scale)
     run = SchemeRun(scheme=scheme, seed=seed)
-    if engine == "batch":
-        if scenario is not None:
-            raise ConfigError("the batch engine has no event timeline; "
-                              "scenario validation needs --engine event")
-        from repro.batch import BatchSimulator
-        sim = BatchSimulator(config.replace(engine="batch"), workloads,
-                             trace_scale=trace_scale)
-        attach_spans = False
-    else:
-        sim = McmGpuSimulator(config, workloads, trace_scale=trace_scale,
-                              check_invariants=check_invariants)
+    sim = McmGpuSimulator(config, workloads, trace_scale=trace_scale,
+                          check_invariants=check_invariants)
     if inject_pec_offset:
         _inject_pec_offset(sim, inject_pec_offset)
     if inject_stale_entry:
@@ -221,7 +198,7 @@ def validate_point(scheme: str, config: SimConfig,
         sim.inject_stale_pasid = min(scenario.churned_pasids)
     mismatches: dict[tuple[int, int], int] = {}
     stale_deliveries: list[tuple[int, int, int]] = []
-    dead_pasids = getattr(sim, "dead_pasids", frozenset())
+    dead_pasids = sim.dead_pasids
 
     def observer(_cid: int, _stream: int, pasid: int, vpn: int,
                  pfn: int) -> None:
@@ -319,33 +296,22 @@ def run_validation(schemes: Sequence[str], seeds: Sequence[int],
                    trace_scale: float = 1.0,
                    check_invariants: bool = True,
                    inject_pec_offset: int = 0,
-                   engine: str = "event",
                    scenario: str | None = None,
                    inject_stale_entry: bool = False) -> ValidationReport:
     """The full differential sweep behind ``python -m repro validate``.
-
-    ``engine`` selects the execution engine under test (``"event"`` or
-    ``"batch"``); the oracle side never changes.  The batch engine only
-    supports the ats/baseline, barre, and fbarre schemes — others raise
-    :class:`ConfigError` up front.
 
     ``scenario`` switches the per-seed workload from a single fuzzed app
     to a multi-tenant churn timeline: ``"churn"`` draws a fresh fuzzed
     scenario per seed (:func:`repro.validation.fuzz.churn_scenario`);
     a pinned name from :data:`repro.scenarios.NAMED_SCENARIOS` replays
-    that fixed timeline with per-seed traces/aging.  Scenario runs are
-    event-engine only and additionally enforce the no-stale-translation
-    and per-PASID conservation laws.
+    that fixed timeline with per-seed traces/aging.  Scenario runs
+    additionally enforce the no-stale-translation and per-PASID
+    conservation laws.
     """
     unknown = [s for s in schemes if s not in SCHEME_FACTORIES]
     if unknown:
         raise ConfigError(f"unknown validation schemes: {', '.join(unknown)} "
                           f"(choose from {', '.join(sorted(SCHEME_FACTORIES))})")
-    if engine not in ("event", "batch"):
-        raise ConfigError(f"unknown engine {engine!r}")
-    if scenario is not None and engine == "batch":
-        raise ConfigError("scenario validation needs the event engine "
-                          "(lifecycle events have no batch equivalent)")
     if scenario is not None and scenario != "churn" \
             and scenario not in NAMED_SCENARIOS:
         raise ConfigError(
@@ -353,13 +319,6 @@ def run_validation(schemes: Sequence[str], seeds: Sequence[int],
             f"{', '.join(sorted(NAMED_SCENARIOS))})")
     if inject_stale_entry and scenario is None:
         raise ConfigError("--inject-stale-entry needs --scenario")
-    if engine == "batch":
-        supported = {"ats", "baseline", "barre", "fbarre"}
-        bad = [s for s in schemes if s not in supported]
-        if bad:
-            raise ConfigError(
-                f"schemes {', '.join(bad)} drain to the event engine; "
-                f"--engine batch supports {', '.join(sorted(supported))}")
     report = ValidationReport(schemes=list(schemes), seeds=list(seeds))
     for seed in seeds:
         immortal_pasids = None
@@ -383,7 +342,6 @@ def run_validation(schemes: Sequence[str], seeds: Sequence[int],
                 trace_scale=trace_scale,
                 check_invariants=check_invariants,
                 inject_pec_offset=inject_pec_offset,
-                engine=engine,
                 inject_stale_entry=inject_stale_entry)
             report.runs.append(run)
             by_mapping.setdefault(config.mapping, []).append(run)

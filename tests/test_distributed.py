@@ -18,7 +18,6 @@ from repro.experiments.distributed import (
     _Heartbeat,
     claim_stale_s,
     config_from_wire,
-    config_to_wire,
     local_worker_count,
     point_from_wire,
     point_to_wire,
@@ -58,7 +57,7 @@ class TestWireCodec:
                                          configs.valkyrie])
     def test_config_round_trip_is_exact(self, factory):
         config = factory()
-        wired = json.loads(json.dumps(config_to_wire(config)))
+        wired = json.loads(json.dumps(runner_mod.encode_config(config)))
         assert config_from_wire(wired) == config
 
     def test_round_trip_preserves_the_cache_key(self, cache):

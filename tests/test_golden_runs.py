@@ -133,25 +133,40 @@ def test_golden_run(name: str, tmp_path: Path) -> None:
         f"serialize differently — key order or float formatting changed)")
 
 
+def test_point_keys_are_pinned() -> None:
+    """Point keys (hence cache filenames) never drift without intent.
+
+    The digests are pinned literals: any change to the canonical config
+    JSON — a new, renamed or removed ``SimConfig`` field, or a change to
+    the encoder — moves them and orphans every existing cache entry.  If
+    that is intended, bump ``SIM_VERSION`` and re-pin.
+    """
+    from repro.experiments.runner import point_digest, point_key
+
+    assert point_digest(point_key(configs.baseline(), "gemv", 0.05)) \
+        == "b09ea42a367fc88f91dfb44e"
+    assert point_digest(point_key(configs.fbarre(), "gemv", 0.05)) \
+        == "ab2724d81647b6d1ec2908aa"
+
+
 def test_batch_engine_is_off_by_default(tmp_path: Path,
                                         monkeypatch) -> None:
-    """The batch engine must be invisible unless explicitly requested.
+    """The retired engine selector cannot switch anything back on.
 
-    Three independent guarantees: a fresh config selects the event
-    engine; ``make_simulator`` with default settings builds the event
-    simulator even with ``REPRO_ENGINE`` exported (the env override is
-    resolved in the runner's ``point_key``/``run_point`` layer, never
-    inside the simulator constructor path used here); and a golden point
-    re-digested with the env var set stays byte-identical.
+    ``SimConfig`` has no ``engine`` field any more, and a stale
+    ``REPRO_ENGINE`` in the environment changes neither the point key nor
+    a single byte of a golden point's cache payload or trace.
     """
-    from repro.batch import make_simulator
-    from repro.common.config import SimConfig
+    import dataclasses
 
-    assert SimConfig().engine == "event"
+    from repro.common.config import SimConfig
+    from repro.experiments.runner import point_key
+
+    assert "engine" not in {f.name for f in dataclasses.fields(SimConfig)}
+    cfg = configs.baseline()
+    key = point_key(cfg, "gemv", SCALE)
     monkeypatch.setenv("REPRO_ENGINE", "batch")
-    sim = make_simulator(configs.baseline(), [get_workload("gemv")],
-                         trace_scale=SCALE)
-    assert isinstance(sim, McmGpuSimulator)
+    assert point_key(cfg, "gemv", SCALE) == key
 
     name = "baseline-gemv"
     golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
@@ -161,19 +176,22 @@ def test_batch_engine_is_off_by_default(tmp_path: Path,
 
 
 def test_engine_field_changes_cache_key_not_payload_bytes() -> None:
-    """``engine`` participates in the cache key (so batch results can
-    never shadow event-engine entries) but lives outside the persisted
-    payload fields, so default-path cache files stay byte-identical."""
+    """The retired ``engine`` field lives on in the cache key only.
+
+    It is kept there as the constant ``"event"`` so existing point keys
+    did not move (and entries once keyed for another engine can never be
+    read back as these results), while the persisted payload never
+    carried it, so cache bytes stay the same too.
+    """
     from repro.experiments.runner import point_key
 
-    cfg = configs.baseline()
-    assert point_key(cfg, "gemv", SCALE) != point_key(
-        cfg.replace(engine="batch"), "gemv", SCALE)
+    cfg_json = point_key(configs.baseline(), "gemv", SCALE).split("|")[1]
+    assert json.loads(cfg_json)["engine"] == "event"
 
     golden = json.loads((GOLDEN_DIR / "baseline-gemv.json").read_text())
     assert "engine" not in golden["stats"], (
-        "the engine marker leaked into the persisted payload; that would "
-        "change cache bytes for every default-path result")
+        "an engine marker leaked into the persisted payload; that would "
+        "change cache bytes for every result")
 
 
 def test_golden_matrix_has_no_strays() -> None:

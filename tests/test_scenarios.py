@@ -198,11 +198,6 @@ def test_run_validation_clean_on_pinned_multi_tenant():
     assert report.ok
 
 
-def test_scenario_rejects_batch_engine():
-    with pytest.raises(ConfigError, match="batch"):
-        run_validation(["ats"], seeds=[0], scenario="churn", engine="batch")
-
-
 def test_inject_stale_requires_scenario():
     with pytest.raises(ConfigError, match="scenario"):
         run_validation(["ats"], seeds=[0], inject_stale_entry=True)

@@ -3,7 +3,7 @@
 Each test boots the real asyncio server (``BackgroundServer``) on an
 ephemeral port and talks plain HTTP through urllib — the same framing a
 curl client uses — so these cover the transport, routing, schemas,
-quotas, the job lifecycle, and the shared-cache guarantees end to end.
+the job lifecycle, and the shared-cache guarantees end to end.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ from repro.gpu.mcm import McmGpuSimulator
 from repro.service import (
     BackgroundServer,
     JobStore,
-    QuotaExceeded,
-    QuotaLedger,
-    QuotaPolicy,
     ServiceApp,
 )
 
@@ -47,13 +44,8 @@ def make_service(cache):
     """Factory for (server, store) pairs; everything torn down at exit."""
     live = []
 
-    def _make(points_per_window=2000, window_seconds=60.0,
-              max_concurrent_jobs=4, job_slots=1):
-        store = JobStore(
-            quota=QuotaPolicy(points_per_window=points_per_window,
-                              window_seconds=window_seconds,
-                              max_concurrent_jobs=max_concurrent_jobs),
-            job_slots=job_slots, sweep_jobs=1)
+    def _make():
+        store = JobStore(job_slots=1, sweep_jobs=1)
         server = BackgroundServer(ServiceApp(store)).start()
         live.append((server, store))
         return server, store
@@ -149,6 +141,8 @@ class TestBasics:
             ({"figure": "fig05", "points": [gemv_point()]}, "exactly one"),
             ({"points": [gemv_point()], "scale": 99}, "out of range"),
             ({"validate": {"schemes": ["nosuch"]}}, "validate.schemes"),
+            ({"validate": {"schemes": ["ats"], "engine": "event"}},
+             "unknown validate field(s): engine"),
             ({}, "exactly one"),
         ]
         for payload, needle in cases:
@@ -279,83 +273,6 @@ class TestJobLifecycle:
         for path in files:
             json.loads(path.read_text())
         assert not list(cache.glob("*.lock"))
-
-
-class TestQuotas:
-    def test_points_budget_rejects_with_retry_after(self, make_service):
-        server, _ = make_service(points_per_window=1)
-        status, headers, body = request(
-            server.base_url, "POST", "/jobs",
-            {"points": [gemv_point(), gemv_point("fbarre")]})
-        assert status == 429
-        assert "budget" in json.loads(body)["error"]
-        # Over-budget-entirely has no meaningful retry hint.
-        _, _, body2 = request(server.base_url, "POST", "/jobs",
-                              {"points": [gemv_point()]})
-        # First job never got admitted, so a 1-point job fits.
-        assert json.loads(body2)["state"] in ("queued", "running")
-
-    def test_window_spend_then_429_then_refill(self, make_service,
-                                               slow_sim):
-        server, _ = make_service(points_per_window=1, window_seconds=1.5)
-        _, _, body = request(server.base_url, "POST", "/jobs",
-                             {"points": [gemv_point()]}, token="alice")
-        first = json.loads(body)["id"]
-        status, headers, body = request(server.base_url, "POST", "/jobs",
-                                        {"points": [gemv_point("barre")]},
-                                        token="alice")
-        assert status == 429
-        assert "Retry-After" in headers
-        assert int(headers["Retry-After"]) >= 1
-        poll_job(server.base_url, first)
-        time.sleep(1.6)     # window rolls over; budget refills
-        status, _, _ = request(server.base_url, "POST", "/jobs",
-                               {"points": [gemv_point("barre")]},
-                               token="alice")
-        assert status == 202
-
-    def test_concurrent_job_cap(self, make_service, slow_sim):
-        server, _ = make_service(max_concurrent_jobs=1, job_slots=1)
-        _, _, body = request(server.base_url, "POST", "/jobs",
-                             {"points": [gemv_point()]}, token="bob")
-        first = json.loads(body)["id"]
-        status, _, body = request(server.base_url, "POST", "/jobs",
-                                  {"points": [gemv_point("barre")]},
-                                  token="bob")
-        assert status == 429
-        assert "queued or running" in json.loads(body)["error"]
-        # Another client is unaffected.
-        status, _, _ = request(server.base_url, "POST", "/jobs",
-                               {"points": [gemv_point()]}, token="carol")
-        assert status == 202
-        poll_job(server.base_url, first)
-        # Slot freed: bob may submit again.
-        status, _, _ = request(server.base_url, "POST", "/jobs",
-                               {"points": [gemv_point("barre")]},
-                               token="bob")
-        assert status == 202
-
-    def test_ledger_accounting_with_fake_clock(self):
-        now = [0.0]
-        ledger = QuotaLedger(QuotaPolicy(points_per_window=10,
-                                         window_seconds=60.0,
-                                         max_concurrent_jobs=2),
-                             clock=lambda: now[0])
-        ledger.admit("t", 6)
-        ledger.admit("t", 4)
-        with pytest.raises(QuotaExceeded) as err:
-            ledger.admit("t", 1)    # budget spent and both slots taken
-        ledger.release("t")
-        ledger.release("t")
-        with pytest.raises(QuotaExceeded) as err:
-            ledger.admit("t", 1)    # slots free, but window still charged
-        assert err.value.retry_after == pytest.approx(60.0)
-        now[0] = 61.0               # both t=0 spends age out of the window
-        ledger.admit("t", 6)
-        assert ledger.usage("t")["points_in_window"] == 6
-        ledger.admit("t", 4)        # exactly fills the refreshed budget
-        with pytest.raises(QuotaExceeded):
-            ledger.admit("t", 1)
 
 
 class TestSharedCache:
