@@ -1,9 +1,9 @@
 """Sweep-engine throughput benchmarks + perf gate.
 
 Where ``bench_core_hotpath.py`` times one simulation point's inner loops,
-this suite times the *fleet* layer above them: a cold multi-config sweep
-through the affinity scheduler (trace memo + thin wire + cost-model
-packing), the same sweep warm (pure cache-hit service), the cost-model
+this suite times the *batch* layer above them: a cold multi-config sweep
+through the worker pool (affinity routing + trace memo + thin wire +
+cost-model packing), the same sweep warm (pure cache-hit service), the cost-model
 planner itself, and the CTA-trace memo against a from-scratch rebuild.
 
 Same scheme as the hotpath suite — median of ``ROUNDS``, normalized by the
@@ -80,12 +80,12 @@ def _env(**overrides: str | None):
 # --------------------------------------------------------------------------
 
 def bench_cold_sweep_affinity() -> int:
-    """Cold 2-scheme x 6-app sweep, affinity scheduler, fresh cache."""
+    """Cold 2-scheme x 6-app sweep through the worker pool, fresh cache."""
     cache = tempfile.mkdtemp(prefix="repro-bench-sweep-")
     try:
         with _env(REPRO_CACHE_DIR=cache, REPRO_NO_CACHE=None,
-                  REPRO_JOBS="4", REPRO_SCHEDULER=None):
-            outcome = sweep(_points(), scheduler="affinity", progress=False)
+                  REPRO_JOBS="4"):
+            outcome = sweep(_points(), progress=False)
         assert outcome.stats.simulated == len(_APPS) * 2
         return outcome.stats.simulated
     finally:

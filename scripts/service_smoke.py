@@ -8,9 +8,9 @@ acceptance properties end to end:
    sweep, submit the same point over HTTP, and require the job to report
    0 simulations with a fetched payload byte-identical to the CLI's
    cache file.
-2. **Cache-miss job through the scheduler** — submit golden points the
-   cache has never seen; the sweep engine simulates them (affinity
-   scheduler, the default), and the cached payloads' SHA-256 must match
+2. **Cache-miss job through the sweep engine** — submit golden points
+   the cache has never seen; the sweep engine simulates them, and the
+   cached payloads' SHA-256 must match
    the frozen ``cache_payload_sha256`` digests in ``tests/golden/``.
 
 Then a graceful drain.  Run from the repo root::

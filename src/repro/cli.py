@@ -33,7 +33,6 @@ from repro.experiments import (
 )
 from repro.experiments.registry import FIGURES, figure_points, run_figure
 from repro.experiments.runner import run_point, speedups, suite_results
-from repro.experiments.sweep import SCHEDULERS as SWEEP_SCHEDULERS
 from repro.experiments.sweep import SweepPoint, sweep
 from repro.workloads.suite import APP_ORDER, CATEGORY_OF
 
@@ -93,10 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--dry-run", action="store_true",
                            help="plan only: count cached vs missing points "
                                 "and print the cost-model schedule")
-    sweep_cmd.add_argument("--scheduler", choices=SWEEP_SCHEDULERS,
-                           default=None,
-                           help="miss scheduler (default: REPRO_SCHEDULER "
-                                "or affinity)")
     sweep_cmd.add_argument("--events", default=None, metavar="PATH",
                            help="append the run's structured events "
                                 "(JSONL) to PATH")
@@ -160,36 +155,11 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--jobs", type=int, default=None,
                        help="default sweep workers per job "
                             "(default: REPRO_JOBS or all cores)")
-    serve.add_argument("--scheduler", choices=SWEEP_SCHEDULERS, default=None,
-                       help="default miss scheduler for jobs "
-                            "(default: REPRO_SCHEDULER or affinity)")
     serve.add_argument("--on-shutdown", choices=("drain", "cancel"),
                        default="drain",
                        help="SIGINT/SIGTERM behaviour: drain waits for "
                             "in-flight jobs; cancel stops them at the "
                             "next point boundary (default drain)")
-
-    worker = sub.add_parser(
-        "worker",
-        help="drain distributed sweep groups from a shared cache queue")
-    worker.add_argument("--cache", default=None, metavar="DIR",
-                        help="shared cache directory to serve (default: "
-                             "REPRO_CACHE_DIR)")
-    worker.add_argument("--id", default=None,
-                        help="worker identity in claims/markers "
-                             "(default: <host>:<pid>)")
-    worker.add_argument("--poll", type=float, default=0.5,
-                        help="seconds between queue scans when idle "
-                             "(default 0.5)")
-    worker.add_argument("--heartbeat", type=float, default=2.0,
-                        help="claim heartbeat period in seconds (default "
-                             "2; must be well under REPRO_CLAIM_STALE)")
-    worker.add_argument("--max-idle", type=float, default=None,
-                        help="exit after this many seconds with nothing "
-                             "claimable (default: run until killed)")
-    worker.add_argument("--once", action="store_true",
-                        help="exit after the first pass that finds "
-                             "nothing claimable")
 
     report = sub.add_parser(
         "report", help="stitch results/ into results/SUMMARY.md")
@@ -286,7 +256,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         events = RunEventLog(args.events)
     try:
         outcome = sweep(points, jobs=args.jobs, dry_run=args.dry_run,
-                        scheduler=args.scheduler, events=events)
+                        events=events)
     finally:
         if events is not None:
             events.close()
@@ -382,29 +352,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         serve_forever,
     )
 
-    store = JobStore(job_slots=args.job_slots, sweep_jobs=args.jobs,
-                     scheduler=args.scheduler)
+    store = JobStore(job_slots=args.job_slots, sweep_jobs=args.jobs)
     return serve_forever(ServiceApp(store), args.host, args.port,
                          on_shutdown=args.on_shutdown)
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.experiments.distributed import run_worker
-
-    def progress(stats: dict) -> None:
-        print(f"[worker {stats['worker']}] {stats['groups']} groups, "
-              f"{stats['points']} points "
-              f"({stats['simulated']} simulated, "
-              f"{stats['errors']} errors)", flush=True)
-
-    stats = run_worker(worker_id=args.id, cache_dir=args.cache,
-                       poll=args.poll, heartbeat=args.heartbeat,
-                       max_idle=args.max_idle, once=args.once,
-                       progress=progress)
-    print(f"[worker {stats['worker']}] done: {stats['groups']} groups, "
-          f"{stats['points']} points ({stats['simulated']} simulated, "
-          f"{stats['errors']} errors)")
-    return 1 if stats["errors"] else 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -471,8 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"run": _cmd_run, "suite": _cmd_suite,
                 "figure": _cmd_figure, "sweep": _cmd_sweep,
                 "trace": _cmd_trace, "validate": _cmd_validate,
-                "serve": _cmd_serve, "worker": _cmd_worker,
-                "report": _cmd_report,
+                "serve": _cmd_serve, "report": _cmd_report,
                 "explore": _cmd_explore, "list": _cmd_list}
     return handlers[args.command](args)
 

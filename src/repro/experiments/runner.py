@@ -33,8 +33,6 @@ import hashlib
 import json
 import os
 import re
-import socket
-import statistics
 import threading
 import time
 import warnings
@@ -356,30 +354,17 @@ def _fill_point(path: Path | None, compute: Callable[[], SimResult],
 # Cost-model sidecar: measured per-point wall-times
 # --------------------------------------------------------------------------
 
-def host_id() -> str:
-    """Stable identity of this machine for per-host cost measurements.
-
-    ``REPRO_HOST_ID`` overrides (two containers on one box, or a stable
-    name across DHCP renames); the default is the hostname.
-    """
-    env = os.environ.get("REPRO_HOST_ID", "").strip()
-    if env:
-        return env
-    return socket.gethostname() or "localhost"
-
-
 #: Sidecar paths we already warned about being corrupt, so a sweep that
 #: calls :func:`load_timings` once per plan doesn't repeat itself.
 _WARNED_TIMINGS: set[str] = set()
 
 
 def load_timings() -> dict[str, dict]:
-    """The wall-time sidecar: ``point_digest -> {"app", "seconds", ...}``.
+    """The wall-time sidecar: ``point_digest -> {"app", "seconds"}``.
 
-    Entries may carry a ``"hosts"`` submap (``host_id -> seconds``) when
-    measurements came from distributed workers; ``"seconds"`` is always
-    present and is what the cost model reads.  Returns {} when caching is
-    off or nothing has been recorded.  A corrupt or truncated sidecar
+    ``"seconds"`` is what the cost model reads; any other keys an entry
+    carries are ignored.  Returns {} when caching is off or nothing has
+    been recorded.  A corrupt or truncated sidecar
     (torn write from a crashed process, disk-full half-file) degrades to
     {} — unordered-but-correct scheduling — with a one-time structured
     warning and a metrics count rather than silence.
@@ -413,17 +398,11 @@ def load_timings() -> dict[str, dict]:
     return payload
 
 
-def record_timings(entries, host: str | None = None) -> None:
+def record_timings(entries) -> None:
     """Merge measured ``(key, abbr, seconds)`` wall-times into the sidecar.
 
-    Each measurement is attributed to a machine (``host``, defaulting to
-    this one's :func:`host_id`): the entry keeps a ``hosts`` submap of
-    per-host measurements, and ``"seconds"`` — what the cost model reads —
-    is the median across hosts, so LPT ordering plans against a
-    typical-host cost even when a distributed fleet mixes fast and slow
-    machines.  Entries written before the submap existed merge cleanly
-    (their unattributed seconds are superseded by the first attributed
-    measurement).
+    A new measurement replaces the point's whole entry, so the latest run
+    is what the cost model plans against.
 
     Read-merge-replace with an atomic rename: concurrent sweeps can lose
     each other's updates (last write wins) but never corrupt the file —
@@ -432,19 +411,11 @@ def record_timings(entries, host: str | None = None) -> None:
     entries = list(entries)
     if not entries or _cache_dir(create=True) is None:
         return
-    host = host or host_id()
-    root = _cache_dir()
-    path = root / _TIMINGS_SIDECAR
+    path = _cache_dir() / _TIMINGS_SIDECAR
     merged = load_timings()
     for key, abbr, seconds in entries:
-        digest = point_digest(key)
-        entry = merged.get(digest)
-        hosts = dict(entry.get("hosts", {})) if isinstance(entry, dict) else {}
-        hosts[host] = round(float(seconds), 4)
-        merged[digest] = {"app": abbr,
-                          "seconds": round(statistics.median(hosts.values()),
-                                           4),
-                          "hosts": hosts}
+        merged[point_digest(key)] = {"app": abbr,
+                                     "seconds": round(float(seconds), 4)}
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".{os.getpid()}.tmp")

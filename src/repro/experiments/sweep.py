@@ -1,32 +1,24 @@
-"""Throughput-oriented sweep scheduler: fan (config, app) points over workers.
+"""Throughput-oriented sweep engine: fan (config, app) points over workers.
 
 Every paper figure reduces to a set of independent (config, app, scale)
 simulation points — embarrassingly parallel work that the serial harness
 paid for one core at a time.  :func:`sweep` takes an iterable of
 :class:`SweepPoint`, deduplicates them against the on-disk result cache,
-and hands the misses to a :class:`~repro.experiments.backends.SweepBackend`
-(``REPRO_SCHEDULER`` or the ``scheduler`` argument):
+and runs the misses on one of two paths, picked from what it can observe:
 
-* **affinity** (default) — per-worker queues: points sharing an
-  (app, scale, seed) group are routed to one worker so its CTA-trace memo
+* **inline** — in-process, in plan order, when the core-clamped width
+  (:func:`_pool_width`) is one worker or there is a single miss: a
+  one-process pool is strictly worse (same serial order, plus process
+  spawn and result IPC).
+* **pool** — per-worker queues: points sharing an (app, scale, seed)
+  group are routed to one worker so its CTA-trace memo
   (:data:`repro.gpu.mcm.TRACE_MEMO`) is hit for every config after the
   first, with work stealing so idle workers drain other queues.  Workers
   publish through the runner's atomic cache write and ship back only the
   point's timing — the parent loads results from disk (the full payload
   travels over the pipe only when the cache is off or unwritable).
-* **flat** — the legacy ``ProcessPoolExecutor`` fan-out, full payloads
-  pickled back; kept as the A/B comparison baseline and fallback.
-* **serial** — in-process, no worker pool (also used automatically for
-  ``jobs=1`` or a single miss).
-* **distributed** — a coordinator that publishes affinity groups to a
-  filesystem claim queue under the shared result cache; ``repro worker``
-  processes — spawned locally and/or launched on any host that mounts
-  the same cache directory — claim groups, fill the cache, and
-  heartbeat, so aggregate cores across hosts become the only limit
-  (see :mod:`repro.experiments.distributed` and docs/performance.md,
-  "Distributed sweeps").
 
-All four produce bit-identical results (same seeded RNG from
+Both produce bit-identical results (same seeded RNG from
 ``SimConfig.seed``, same ``SIM_VERSION`` cache keying, same atomic cache
 files — asserted by ``tests/test_sweep.py`` against the golden-run
 digests).
@@ -47,21 +39,21 @@ discovered up front and submitted as one batch (see
 from __future__ import annotations
 
 import os
+import signal
 import statistics
 import sys
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field
+from queue import Empty
 
 from repro.common import metrics
 from repro.common.config import SimConfig
 from repro.experiments import runner
+from repro.gpu import mcm
 from repro.gpu.mcm import SimResult
 from repro.workloads.base import Workload
-
-#: Recognized scheduler names (``REPRO_SCHEDULER`` / ``scheduler=``) —
-#: each resolves to a :class:`~repro.experiments.backends.SweepBackend`.
-SCHEDULERS = ("affinity", "flat", "serial", "distributed")
 
 #: Per-point cost guess (seconds) when the sidecar has no data at all —
 #: only the *relative* order matters, so any constant works.
@@ -69,6 +61,10 @@ _DEFAULT_COST = 1.0
 
 #: Idle worker nap between steal rounds (all queues momentarily empty).
 _STEAL_POLL_S = 0.005
+
+#: Seconds a stopped pool worker gets to finish (and cache-publish) its
+#: in-flight point before it is terminated.
+_JOIN_GRACE_S = 10.0
 
 
 class SweepCancelled(RuntimeError):
@@ -152,13 +148,9 @@ class SweepStats:
     elapsed: float = 0.0    #: wall-clock seconds
     memo_hits: int = 0      #: CTA-trace memo hits across all workers
     memo_misses: int = 0    #: CTA-trace memo misses across all workers
-    steals: int = 0         #: stolen points (affinity) / reclaimed groups (distributed)
+    steals: int = 0         #: points a pool worker took from a peer's queue
     #: Measured wall-time of every simulated miss, by cache key.
     point_seconds: dict[str, float] = field(default_factory=dict)
-    #: Host a miss was simulated on, by cache key — only filled by the
-    #: distributed backend for points that ran on a worker (which banks
-    #: its own timings); local runs are implicitly this host.
-    point_hosts: dict[str, str] = field(default_factory=dict)
 
     def describe(self, dry_run: bool = False) -> str:
         verb = "to simulate (dry run)" if dry_run else "simulated"
@@ -192,15 +184,6 @@ def default_jobs() -> int:
     if env:
         return max(1, int(env))
     return os.cpu_count() or 1
-
-
-def default_scheduler() -> str:
-    """Scheduler name: ``REPRO_SCHEDULER`` if set, else ``affinity``."""
-    name = os.environ.get("REPRO_SCHEDULER", "").strip() or "affinity"
-    if name not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {name!r} "
-                         f"(choose from {', '.join(SCHEDULERS)})")
-    return name
 
 
 def _pool_width(jobs: int, misses: int) -> int:
@@ -360,21 +343,200 @@ class _Progress:
 
 
 # --------------------------------------------------------------------------
+# The two execution paths
+# --------------------------------------------------------------------------
+
+def _run_serial(plan: list[PlannedPoint], reporter: _Progress,
+                results: dict, stats: SweepStats, cancel=None,
+                events=None) -> None:
+    """Run every miss inline, in plan order (cost-model longest-first)."""
+    memo = mcm.TRACE_MEMO
+    reporter.update(stats.cached, running=1)
+    done = 0
+    for pp in plan:
+        if cancel is not None and cancel.is_set():
+            raise SweepCancelled(
+                f"sweep cancelled with {len(plan) - done} "
+                f"misses outstanding")
+        _emit(events, "point_start", digest=runner.point_digest(pp.key),
+              app=pp.point.abbr, worker=0)
+        hits, memo_misses = memo.hits, memo.misses
+        t0 = time.perf_counter()
+        results[pp.key] = _run_inline(pp.point)
+        seconds = time.perf_counter() - t0
+        stats.point_seconds[pp.key] = seconds
+        stats.memo_hits += memo.hits - hits
+        stats.memo_misses += memo.misses - memo_misses
+        done += 1
+        _emit(events, "point_finish", digest=runner.point_digest(pp.key),
+              app=pp.point.abbr, seconds=round(seconds, 4),
+              stolen=False, worker=0)
+        reporter.update(stats.cached + done,
+                        running=int(done < len(plan)))
+
+
+def _exit_on_sigterm(signum, frame) -> None:
+    # Unwind like an exception, so _fill_point's finally releases its lock.
+    raise SystemExit(128 + signum)
+
+
+def _pool_worker(worker_id: int, inboxes: list, result_q, stop) -> None:
+    """Worker loop: drain the own queue, then steal from the others.
+
+    Each inbox item is ``(index, point)``; each result is ``(index,
+    payload_or_None, seconds, memo_hits, memo_misses, stolen,
+    error_or_None)`` — ``stolen`` records whether the point came from a
+    peer's queue, which the parent aggregates into ``SweepStats.steals``
+    and the run-event log.  The worker publishes through the runner's
+    cache (``_run_inline`` → ``run_point`` → atomic write) and ships
+    ``payload=None`` when the cache file landed — the parent loads it
+    from disk — falling back to the full payload under
+    ``REPRO_NO_CACHE`` or an unwritable cache.
+    """
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    order = [worker_id] + [i for i in range(len(inboxes)) if i != worker_id]
+    memo = mcm.TRACE_MEMO
+    while not stop.is_set():
+        item = None
+        stolen = False
+        for source in order:
+            try:
+                item = inboxes[source].get_nowait()
+                stolen = source != worker_id
+                break
+            except Empty:
+                continue
+        if item is None:
+            time.sleep(_STEAL_POLL_S)
+            continue
+        index, point = item
+        hits, misses = memo.hits, memo.misses
+        start = time.perf_counter()
+        try:
+            result = _run_inline(point)
+            seconds = time.perf_counter() - start
+            path = runner.point_path(point.config, point.app, point.scale,
+                                     point.tag)
+            payload = None
+            if path is None or not path.exists():
+                payload = runner._serialize(result)
+            result_q.put((index, payload, seconds,
+                          memo.hits - hits, memo.misses - misses, stolen,
+                          None))
+        except Exception:
+            result_q.put((index, None, 0.0, 0, 0, stolen,
+                          traceback.format_exc()))
+
+
+def _drain(q) -> None:
+    try:
+        while True:
+            q.get_nowait()
+    except (Empty, OSError):
+        pass
+
+
+def _run_pool(plan: list[PlannedPoint], workers: int, reporter: _Progress,
+              results: dict, stats: SweepStats, cancel=None,
+              events=None) -> None:
+    """Run the misses on ``workers`` processes, one queue each, stealing."""
+    import multiprocessing  # ~10 ms; inline-only sweeps never pay it
+    ctx = multiprocessing.get_context()
+    inboxes = [ctx.Queue() for _ in range(workers)]
+    result_q = ctx.Queue()
+    stop = ctx.Event()
+    for index, pp in enumerate(plan):
+        inboxes[pp.worker].put((index, pp.point))
+        _emit(events, "point_start", digest=runner.point_digest(pp.key),
+              app=pp.point.abbr, worker=pp.worker)
+    procs = [ctx.Process(target=_pool_worker,
+                         args=(w, inboxes, result_q, stop), daemon=True)
+             for w in range(workers)]
+    for proc in procs:
+        proc.start()
+    cached = stats.cached
+    pending = len(plan)
+    reporter.update(cached, running=min(workers, pending))
+    try:
+        while pending:
+            if cancel is not None and cancel.is_set():
+                # The finally block below stops the workers; each
+                # finishes (and cache-publishes) its in-flight point
+                # first, so a resume re-runs only the points never
+                # started.
+                raise SweepCancelled(
+                    f"sweep cancelled with {pending} misses outstanding")
+            try:
+                (index, payload, seconds, memo_hits, memo_misses, stolen,
+                 error) = result_q.get(timeout=0.25)
+            except Empty:
+                crashed = [p for p in procs if p.exitcode not in (None, 0)]
+                if crashed:
+                    raise RuntimeError(
+                        f"sweep worker crashed (exitcode "
+                        f"{crashed[0].exitcode}) with {pending} "
+                        f"points left")
+                continue
+            pp = plan[index]
+            if error is not None:
+                raise RuntimeError(
+                    f"sweep worker failed on {pp.label()}:\n{error}")
+            if payload is not None:
+                results[pp.key] = runner._deserialize(payload)
+            else:
+                loaded = runner.cached_result(
+                    pp.point.config, pp.point.app, pp.point.scale,
+                    pp.point.tag)
+                if loaded is None:
+                    raise RuntimeError(
+                        f"worker published {pp.label()} but the cache "
+                        f"has no result (cache directory removed "
+                        f"mid-sweep?)")
+                results[pp.key] = loaded
+            stats.point_seconds[pp.key] = seconds
+            stats.memo_hits += memo_hits
+            stats.memo_misses += memo_misses
+            stats.steals += int(stolen)
+            pending -= 1
+            _emit(events, "point_finish",
+                  digest=runner.point_digest(pp.key), app=pp.point.abbr,
+                  seconds=round(seconds, 4), stolen=bool(stolen),
+                  worker=pp.worker)
+            reporter.update(cached + len(plan) - pending,
+                            running=min(workers, pending))
+    finally:
+        stop.set()
+        for proc in procs:
+            proc.join(timeout=_JOIN_GRACE_S)
+        for proc in procs:
+            if proc.is_alive():
+                # SIGTERM unwinds the worker (see _exit_on_sigterm), so
+                # a point cut short releases its fill lock.
+                proc.terminate()
+                proc.join(timeout=5)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+        for q in [*inboxes, result_q]:
+            _drain(q)
+            q.close()
+
+
+# --------------------------------------------------------------------------
 # The sweep entry point
 # --------------------------------------------------------------------------
 
 def sweep(points, jobs: int | None = None, progress: bool | None = None,
-          dry_run: bool = False, scheduler: str | None = None,
-          observer=None, cancel: threading.Event | None = None,
+          dry_run: bool = False, observer=None,
+          cancel: threading.Event | None = None,
           events=None) -> SweepOutcome:
     """Deduplicate ``points`` against the cache and schedule the misses.
 
     Returns results in submission order (duplicates each get the shared
     result).  ``jobs=None`` uses :func:`default_jobs`; ``progress=None``
-    draws the live line only on a TTY; ``scheduler=None`` uses
-    :func:`default_scheduler`.  ``dry_run=True`` plans without simulating
-    — missing points come back as ``None`` with the cost-model schedule
-    in ``outcome.plan``.
+    draws the live line only on a TTY.  ``dry_run=True`` plans without
+    simulating — missing points come back as ``None`` with the cost-model
+    schedule in ``outcome.plan``.
 
     ``observer`` receives every progress snapshot dict (see
     :meth:`_Progress.snapshot`) including a final one; ``cancel`` is a
@@ -399,10 +561,6 @@ def sweep(points, jobs: int | None = None, progress: bool | None = None,
             total=len(points), unique=len(points)))
     start = time.perf_counter()
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
-    scheduler = default_scheduler() if scheduler is None else scheduler
-    if scheduler not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {scheduler!r} "
-                         f"(choose from {', '.join(SCHEDULERS)})")
     keys = [p.key() for p in points]
     unique: dict[str, SweepPoint] = {}
     for key, point in zip(keys, points):
@@ -421,8 +579,7 @@ def sweep(points, jobs: int | None = None, progress: bool | None = None,
     cached = len(results)
     stats = SweepStats(total=len(points), unique=len(unique), cached=cached)
     _emit(events, "sweep_start", total=stats.total, unique=stats.unique,
-          cached=cached, misses=len(misses), scheduler=scheduler,
-          dry_run=dry_run)
+          cached=cached, misses=len(misses), dry_run=dry_run)
     for key, point in hits:
         _emit(events, "point_cache_hit",
               digest=runner.point_digest(key), app=point.abbr)
@@ -435,24 +592,15 @@ def sweep(points, jobs: int | None = None, progress: bool | None = None,
             results[key] = None
     elif misses:
         stats.simulated = len(misses)
-        # Imported here, not at module top: backends.py imports this
-        # module's plan/stats/progress machinery at import time.
-        from repro.experiments import backends as _backends
-        backend = _backends.get_backend(scheduler)
-        workers = backend.width(jobs, len(misses))
-        # A one-worker pool is strictly worse than running inline (same
-        # serial order, plus process spawn and result IPC) — so the core
-        # clamp on a small machine degrades local pool backends to the
-        # serial path.  The distributed backend opts out: remote workers
-        # may add capacity the local core count knows nothing about.
-        if backend.inline_when_narrow and (workers == 1 or len(misses) == 1):
-            backend = _backends.get_backend("serial")
-            workers = 1
-        stats.jobs = max(1, workers)
+        stats.jobs = _pool_width(jobs, len(misses))
         try:
             plan = plan_misses(misses, stats.jobs)
-            backend.run(plan, workers, reporter, results, stats,
-                        cancel=cancel, events=events)
+            if stats.jobs == 1:
+                _run_serial(plan, reporter, results, stats,
+                            cancel=cancel, events=events)
+            else:
+                _run_pool(plan, stats.jobs, reporter, results, stats,
+                          cancel=cancel, events=events)
         except SweepCancelled as exc:
             _emit(events, "sweep_cancelled", error=str(exc))
             metrics.METRICS.counter(
@@ -462,16 +610,9 @@ def sweep(points, jobs: int | None = None, progress: bool | None = None,
         finally:
             # A cancelled run still banks the wall-times it measured —
             # the cost model should learn from every completed point.
-            # Points a *remote* worker simulated (stats.point_hosts) are
-            # skipped: that worker already recorded them under its own
-            # host id, and re-recording here would misattribute its
-            # measurement to this machine.
-            this_host = runner.host_id()
             runner.record_timings(
                 (pp.key, pp.point.abbr, stats.point_seconds[pp.key])
-                for pp in plan
-                if pp.key in stats.point_seconds
-                and stats.point_hosts.get(pp.key, this_host) == this_host)
+                for pp in plan if pp.key in stats.point_seconds)
     reporter.finish()
     stats.elapsed = time.perf_counter() - start
     if observer is not None:
@@ -562,12 +703,10 @@ class SweepJob:
     """
 
     def __init__(self, points, jobs: int | None = None,
-                 scheduler: str | None = None,
                  cancel_event: threading.Event | None = None,
                  events=None):
         self.points = list(points)
         self.jobs = jobs
-        self.scheduler = scheduler
         #: Structured run-event sink (see :func:`sweep`); progress
         #: snapshots are forwarded to it too, as ``progress`` events.
         self.events = events
@@ -576,7 +715,7 @@ class SweepJob:
         self.error: str | None = None
         #: Sharable: a caller may pass its own event so an external
         #: cancel signal (e.g. the service's DELETE route) reaches the
-        #: scheduler directly.
+        #: sweep directly.
         self._cancel = cancel_event if cancel_event is not None \
             else threading.Event()
         self._lock = threading.Lock()
@@ -607,8 +746,8 @@ class SweepJob:
             self.error = None
         try:
             outcome = sweep(self.points, jobs=self.jobs, progress=False,
-                            scheduler=self.scheduler, observer=self._observe,
-                            cancel=self._cancel, events=self.events)
+                            observer=self._observe, cancel=self._cancel,
+                            events=self.events)
         except SweepCancelled as exc:
             with self._lock:
                 self.state, self.error = "cancelled", str(exc)

@@ -10,7 +10,7 @@ Routes (full reference with schemas and curl examples: ``docs/service.md``):
 
 ====== ================== ===========================================
 GET    /healthz            liveness + version
-GET    /meta               apps, schemes, figures, schedulers
+GET    /meta               apps, schemes, figures
 POST   /jobs               submit a job (points | figure | validate)
 GET    /jobs               list jobs (``?state=``, ``?limit=``;
                            newest first)
@@ -71,7 +71,7 @@ class Route:
 ROUTES: tuple[Route, ...] = (
     Route("GET", "/healthz", "handle_healthz", "liveness and version"),
     Route("GET", "/meta", "handle_meta",
-          "apps, schemes, figures, schedulers the server accepts"),
+          "apps, schemes, figures the server accepts"),
     Route("POST", "/jobs", "handle_submit", "submit a job"),
     Route("GET", "/jobs", "handle_list_jobs", "list all jobs"),
     Route("GET", "/jobs/{id}", "handle_get_job",
@@ -186,13 +186,11 @@ class ServiceApp:
     def handle_meta(self, headers, body, query) -> Response:
         from repro.cli import SCHEMES
         from repro.experiments.registry import FIGURES
-        from repro.experiments.sweep import SCHEDULERS
         from repro.workloads.suite import APP_ORDER
         return Response.json({
             "apps": list(APP_ORDER),
             "schemes": sorted(SCHEMES),
             "figures": sorted(FIGURES),
-            "schedulers": list(SCHEDULERS),
         })
 
     def handle_submit(self, headers, body, query) -> Response:

@@ -9,7 +9,7 @@ figure, or a validate run — and moves through a small state machine::
 
 Execution rides the sweep engine's :class:`~repro.experiments.sweep.SweepJob`
 handle, so everything the CLI path guarantees holds over HTTP too: misses
-go through the affinity scheduler and the lockfile + atomic-rename cache
+go through the sweep engine and the lockfile + atomic-rename cache
 discipline, progress is the same ``_Progress`` snapshot stream the
 terminal line draws, and cancellation lands on point boundaries with
 every finished point already cache-published (which is what makes a
@@ -105,14 +105,12 @@ class JobStore:
 
     ``job_slots`` bounds how many jobs *run* simultaneously (each job may
     itself fan a sweep over worker processes); further admissions queue.
-    ``sweep_jobs``/``scheduler`` are server-side defaults a request may
+    ``sweep_jobs`` is the server-side default worker count a request may
     override within schema bounds.
     """
 
-    def __init__(self, job_slots: int = 2, sweep_jobs: int | None = None,
-                 scheduler: str | None = None):
+    def __init__(self, job_slots: int = 2, sweep_jobs: int | None = None):
         self.sweep_jobs = sweep_jobs
-        self.scheduler = scheduler
         self._jobs: dict[str, Job] = {}
         self._order: list[str] = []
         self._lock = threading.Lock()
@@ -220,11 +218,10 @@ class JobStore:
             except (ValueError, OSError):
                 job.event_log = RunEventLog(None)
         # Sharing the job's cancel event means a DELETE that lands mid-run
-        # stops the scheduler directly, not just flags the job record.
+        # stops the sweep directly, not just flags the job record.
         job.sweep_job = SweepJob(
             job.points,
             jobs=job.spec.sweep_jobs or self.sweep_jobs,
-            scheduler=job.spec.scheduler or self.scheduler,
             cancel_event=job.cancel_event,
             events=job.event_log)
         return job.sweep_job.run()

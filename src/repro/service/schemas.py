@@ -100,7 +100,6 @@ class JobSpec:
     validate_seed_start: int = 0
     scale: float | None = None
     sweep_jobs: int | None = None   #: worker override for this job
-    scheduler: str | None = None    #: sweep scheduler override
 
     def describe(self) -> str:
         if self.kind == "figure":
@@ -140,7 +139,7 @@ def parse_job_request(payload) -> JobSpec:
     if not isinstance(payload, dict):
         raise SchemaError("request body must be a JSON object")
     _require_keys(payload, {"points", "figure", "validate", "scale",
-                            "jobs", "scheduler"}, "job")
+                            "jobs"}, "job")
     kinds = [k for k in ("points", "figure", "validate") if k in payload]
     if len(kinds) != 1:
         raise SchemaError(
@@ -150,15 +149,7 @@ def parse_job_request(payload) -> JobSpec:
     if sweep_jobs is not None:
         if not isinstance(sweep_jobs, int) or not 1 <= sweep_jobs <= 64:
             raise SchemaError("jobs must be an integer in [1, 64]")
-    scheduler = payload.get("scheduler")
-    if scheduler is not None:
-        from repro.experiments.sweep import SCHEDULERS
-        if scheduler not in SCHEDULERS:
-            raise SchemaError(
-                f"scheduler {scheduler!r} unknown "
-                f"(choose from {', '.join(SCHEDULERS)})")
-    common = {"scale": scale, "sweep_jobs": sweep_jobs,
-              "scheduler": scheduler}
+    common = {"scale": scale, "sweep_jobs": sweep_jobs}
 
     kind = kinds[0]
     if kind == "points":

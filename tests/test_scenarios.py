@@ -9,7 +9,8 @@ Four law families, per the scenario subsystem's contract:
   teardown in any TLB, MSHR, PEC buffer, or handler queue; an injected
   stale entry must trip the invariant checker.
 * **Determinism** — the same seeded scenario yields byte-identical
-  serialized results, run after run and under every sweep scheduler.
+  serialized results, run after run and on both sweep paths (inline and
+  the worker pool).
 * **Oracle equality** — the differential harness reports zero divergences
   over the seeded churn corpus for every scheme.
 
@@ -224,24 +225,33 @@ def test_same_scenario_twice_bit_identical():
         "lifecycle scheduling or teardown consumed unordered state")
 
 
-@pytest.mark.parametrize("scheduler", ["serial", "flat", "affinity"])
+@pytest.mark.parametrize("jobs", [pytest.param(1, id="serial"),
+                                  pytest.param(2, id="affinity")])
 def test_scenario_payload_identical_across_schedulers(
-        scheduler, tmp_path, monkeypatch):
-    """Same seed ⇒ byte-identical cache payloads under every sweep
-    scheduler (scenario workloads cross process boundaries intact)."""
+        jobs, tmp_path, monkeypatch):
+    """Same seed ⇒ byte-identical cache payloads inline (``jobs=1``) and
+    through the worker pool (``jobs=2``): scenario workloads cross
+    process boundaries intact."""
     from repro.experiments.sweep import SweepPoint, sweep
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / scheduler))
+    cache = tmp_path / f"jobs{jobs}"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
     workload = scenario_workload("churn-min")
     points = [SweepPoint(configs.barre(seed=0), workload, scale=1.0),
               SweepPoint(configs.fbarre(seed=0), workload, scale=1.0)]
-    outcome = sweep(points, jobs=2, progress=False, scheduler=scheduler)
+    outcome = sweep(points, jobs=jobs, progress=False)
+    assert outcome.stats.jobs == jobs
     shas = [_payload_sha(r) for r in outcome.results]
     inline = [_payload_sha(
         McmGpuSimulator(p.config, [workload], trace_scale=1.0).run())
         for p in points]
     assert shas == inline, (
-        f"{scheduler} scheduler payloads differ from in-process runs")
+        f"jobs={jobs} sweep payloads differ from in-process runs")
+    files = [hashlib.sha256(f.read_bytes()).hexdigest()
+             for f in cache.glob("*.json")]
+    assert sorted(files) == sorted(inline), (
+        f"jobs={jobs} cache files differ from in-process payload bytes")
 
 
 # -- pinned regression: smallest teardown-mid-walk case --------------------

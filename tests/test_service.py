@@ -112,8 +112,7 @@ class TestBasics:
         assert "gemv" in meta["apps"]
         assert "fbarre" in meta["schemes"]
         assert "fig15" in meta["figures"]
-        assert meta["schedulers"] == ["affinity", "flat", "serial",
-                                      "distributed"]
+        assert "schedulers" not in meta
 
     def test_unknown_route_404_and_wrong_method_405(self, make_service):
         server, _ = make_service()
@@ -143,6 +142,8 @@ class TestBasics:
             ({"validate": {"schemes": ["nosuch"]}}, "validate.schemes"),
             ({"validate": {"schemes": ["ats"], "engine": "event"}},
              "unknown validate field(s): engine"),
+            ({"points": [gemv_point()], "scheduler": "affinity"},
+             "unknown job field(s): scheduler"),
             ({}, "exactly one"),
         ]
         for payload, needle in cases:
@@ -213,22 +214,6 @@ class TestJobLifecycle:
         _, _, payload = request(server.base_url, "GET", entry["result_url"])
         assert payload == cli_bytes, (
             "service payload is not byte-identical to the CLI cache fill")
-
-    def test_distributed_scheduler_job_over_http(self, cache, make_service,
-                                                 monkeypatch):
-        """A job may pick the distributed backend; the coordinator's local
-        helper drains it and the result surfaces like any other job."""
-        monkeypatch.setenv("REPRO_DISTRIBUTED_LOCAL", "1")
-        server, _ = make_service()
-        _, _, body = request(server.base_url, "POST", "/jobs",
-                             {"points": [gemv_point()],
-                              "scheduler": "distributed"})
-        job = poll_job(server.base_url, json.loads(body)["id"], timeout=180)
-        assert job["state"] == "completed"
-        assert job["result"]["stats"]["simulated"] == 1
-        entry = job["result"]["points"][0]
-        _, _, payload = request(server.base_url, "GET", entry["result_url"])
-        assert payload == next(cache.glob("*.json")).read_bytes()
 
     def test_figure_job_runs_and_reports_output(self, cache, make_service):
         server, _ = make_service()

@@ -1,9 +1,12 @@
-"""Parallel sweep engine: determinism, stampede safety, CLI, cache knobs."""
+"""Sweep engine: inline and pool paths, stampede safety, CLI, cache knobs."""
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
+import multiprocessing
+import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +28,7 @@ from repro.experiments.runner import (
     store_point,
 )
 from repro.experiments.sweep import (
-    SCHEDULERS,
+    SweepJob,
     SweepPoint,
     _pool_width,
     _Progress,
@@ -36,6 +39,8 @@ from repro.experiments.sweep import (
 )
 from repro.gpu.mcm import McmGpuSimulator
 
+# The package re-exports the ``sweep`` function under the module's name.
+sweep_mod = importlib.import_module("repro.experiments.sweep")
 REPO = Path(__file__).resolve().parents[1]
 SCALE = 0.05
 
@@ -222,33 +227,34 @@ def _scheme_points() -> list[SweepPoint]:
 
 class TestSchedulerDeterminism:
     def test_all_schedulers_bit_identical(self, tmp_path, monkeypatch):
-        """Every registered scheduler produces the same payloads and files."""
+        """Inline (``jobs=1``) and the worker pool (``jobs=2``) produce the
+        same payloads and byte-identical cache files."""
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
         payloads, files = {}, {}
-        for scheduler in SCHEDULERS:
-            cache = tmp_path / scheduler
+        for jobs in (1, 2):
+            cache = tmp_path / f"jobs{jobs}"
             monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
-            out = sweep(_scheme_points(), jobs=2, progress=False,
-                        scheduler=scheduler)
+            out = sweep(_scheme_points(), jobs=jobs, progress=False)
             assert out.stats.simulated == 4
-            payloads[scheduler] = [json.dumps(_serialize(r), sort_keys=True)
-                                   for r in out.results]
-            files[scheduler] = {p.name: p.read_bytes()
-                                for p in cache.glob("*.json")}
-        reference = SCHEDULERS[0]
-        assert len(files[reference]) == 4
-        for scheduler in SCHEDULERS[1:]:
-            assert payloads[scheduler] == payloads[reference], scheduler
-            assert files[scheduler] == files[reference], scheduler
+            assert out.stats.jobs == jobs
+            payloads[jobs] = [json.dumps(_serialize(r), sort_keys=True)
+                              for r in out.results]
+            files[jobs] = {p.name: p.read_bytes()
+                           for p in cache.glob("*.json")}
+        assert len(files[1]) == 4
+        assert payloads[2] == payloads[1]
+        assert files[2] == files[1]
 
-    def test_affinity_sweep_matches_golden_digests(self, cache):
+    def test_affinity_sweep_matches_golden_digests(self, cache, monkeypatch):
         """Cache files written through the worker pool are byte-for-byte the
         golden payloads — the sweep engine cannot perturb a simulation."""
         from tests.test_golden_runs import GOLDEN_DIR, POINTS
+        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
         names = ["baseline-gemv", "fbarre-gemv", "fbarre-fft", "mgvm-gemv"]
         points = [SweepPoint(POINTS[name][0](), POINTS[name][2], SCALE)
                   for name in names]
-        sweep(points, jobs=2, progress=False, scheduler="affinity")
+        assert sweep(points, jobs=2, progress=False).stats.jobs == 2
         for name, point in zip(names, points):
             golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
             cache_file = runner_mod.point_path(point.config, point.abbr,
@@ -259,11 +265,15 @@ class TestSchedulerDeterminism:
                 f"{name}: sweep-written cache file diverges from golden")
 
     def test_rejects_unknown_scheduler(self, cache, monkeypatch):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            sweep(_scheme_points(), progress=False, scheduler="bogus")
+        """There is no scheduler knob: the argument is a TypeError and a
+        stale ``REPRO_SCHEDULER`` in the environment changes nothing."""
+        with pytest.raises(TypeError, match="scheduler"):
+            sweep(_scheme_points(), progress=False, scheduler="affinity")
+        with pytest.raises(TypeError, match="scheduler"):
+            SweepJob(_scheme_points(), scheduler="affinity")
         monkeypatch.setenv("REPRO_SCHEDULER", "bogus")
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            sweep(_scheme_points(), progress=False)
+        out = sweep(_scheme_points()[:1], jobs=1, progress=False)
+        assert out.stats.simulated == 1
 
 
 class TestSweepStats:
@@ -295,61 +305,107 @@ class TestSweepStats:
         assert _pool_width(jobs=8, misses=3) == 3
 
     def test_steals_explicitly_zero_for_non_stealing_schedulers(
-            self, tmp_path, monkeypatch):
-        """serial/flat report steals=0 as a checked invariant, not by
-        accident of initialization — so the widened affinity wire tuple
-        (or the distributed reclaim counter) can't silently drift."""
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        # Force a real pool for flat even on a one-core machine.
-        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
-        for scheduler in ("serial", "flat"):
-            cache = tmp_path / scheduler
-            monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
-            out = sweep(_scheme_points(), jobs=2, progress=False,
-                        scheduler=scheduler)
-            assert out.stats.steals == 0, scheduler
-            assert "stolen" not in out.stats.describe()
+            self, cache):
+        """The inline path has no peer queue to steal from: steals stay 0
+        and the stats line does not mention stealing."""
+        out = sweep(_scheme_points(), jobs=1, progress=False)
+        assert out.stats.steals == 0
+        assert "stolen" not in out.stats.describe()
 
     def test_steals_is_an_int_for_every_scheduler(self, tmp_path,
                                                   monkeypatch):
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        for scheduler in SCHEDULERS:
-            cache = tmp_path / scheduler
-            monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
-            out = sweep([SweepPoint(configs.baseline(), "gemv", SCALE)],
-                        jobs=2, progress=False, scheduler=scheduler)
-            assert isinstance(out.stats.steals, int), scheduler
-            assert out.stats.steals >= 0, scheduler
+        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        for jobs in (1, 2):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"j{jobs}"))
+            out = sweep(_scheme_points(), jobs=jobs, progress=False)
+            assert out.stats.jobs == jobs
+            assert isinstance(out.stats.steals, int), jobs
+            assert 0 <= out.stats.steals <= 4, jobs
+
+
+class TestPool:
+    def test_pool_worker_failure_reaches_caller(self, cache, monkeypatch):
+        """A point raising inside a pool worker surfaces in the parent as
+        RuntimeError carrying the worker's traceback."""
+        def boom(point):
+            raise ValueError("injected point failure")
+
+        # Workers fork from this process, so the patch rides along.
+        monkeypatch.setattr(sweep_mod, "_run_inline", boom)
+        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        with pytest.raises(RuntimeError, match="sweep worker failed") as err:
+            sweep(_scheme_points(), jobs=2, progress=False)
+        assert "Traceback (most recent call last)" in str(err.value)
+        assert "ValueError: injected point failure" in str(err.value)
+
+    def test_cancel_releases_fill_locks(self, cache, monkeypatch):
+        """Cancelling a pool mid-point terminates the workers after the
+        join grace; each must release its per-key fill lock, so a resumed
+        job simulates the points instead of waiting out REPRO_LOCK_STALE
+        on dead locks."""
+        real_run = McmGpuSimulator.run
+
+        def slow_run(sim_self):
+            time.sleep(60)
+            return real_run(sim_self)
+
+        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        monkeypatch.setattr(sweep_mod, "_JOIN_GRACE_S", 0.5)
+        monkeypatch.setattr(McmGpuSimulator, "run", slow_run)
+        points = [SweepPoint(configs.baseline(), app, SCALE)
+                  for app in ("gemv", "fft")]
+        job = SweepJob(points, jobs=2)
+        job.start()
+        deadline = time.monotonic() + 30
+        while len(list(cache.glob("*.lock"))) < 2:   # both points started
+            assert time.monotonic() < deadline, "workers never took a lock"
+            time.sleep(0.05)
+        job.cancel()
+        job.join(timeout=60)
+        assert job.snapshot()["state"] == "cancelled"
+        assert not list(cache.glob("*.lock")), "a fill lock was left behind"
+
+        monkeypatch.setattr(McmGpuSimulator, "run", real_run)
+        start = time.monotonic()
+        outcome = job.run()
+        assert outcome is not None and outcome.stats.simulated == 2
+        assert time.monotonic() - start < 60
 
 
 class TestCostModel:
-    def test_timings_sidecar_round_trip_and_merge(self, cache, monkeypatch):
-        monkeypatch.setenv("REPRO_HOST_ID", "vm-a")
+    def test_timings_sidecar_round_trip_and_merge(self, cache):
         record_timings([("key-a", "gemv", 1.5), ("key-b", "fft", 3.0)])
-        record_timings([("key-a", "gemv", 2.0)])   # same host: last wins
+        record_timings([("key-a", "gemv", 2.0)])   # last measurement wins
         timings = load_timings()
-        assert timings[point_digest("key-a")] == {
-            "app": "gemv", "seconds": 2.0, "hosts": {"vm-a": 2.0}}
-        assert timings[point_digest("key-b")] == {
-            "app": "fft", "seconds": 3.0, "hosts": {"vm-a": 3.0}}
+        assert timings[point_digest("key-a")] == {"app": "gemv",
+                                                  "seconds": 2.0}
+        assert timings[point_digest("key-b")] == {"app": "fft",
+                                                  "seconds": 3.0}
         # The sidecar lives under meta/ and must not count as a cache file.
         assert not list(cache.glob("*.json"))
 
-    def test_timings_keep_per_host_measurements_and_median(self, cache):
-        """Heterogeneous fleet: each host's cost survives, and the cost
-        model plans against the median across hosts."""
-        record_timings([("key-a", "gemv", 1.0)], host="fast-box")
-        record_timings([("key-a", "gemv", 9.0)], host="slow-box")
-        record_timings([("key-a", "gemv", 3.0)], host="mid-box")
-        entry = load_timings()[point_digest("key-a")]
-        assert entry["hosts"] == {"fast-box": 1.0, "slow-box": 9.0,
-                                  "mid-box": 3.0}
-        assert entry["seconds"] == 3.0
-        # A host re-measuring replaces only its own entry.
-        record_timings([("key-a", "gemv", 5.0)], host="fast-box")
-        entry = load_timings()[point_digest("key-a")]
-        assert entry["hosts"]["fast-box"] == 5.0
-        assert entry["seconds"] == 5.0
+        # A sidecar written by older releases carries a per-host submap:
+        # it still plans, and re-recording a point replaces its entry.
+        points = [SweepPoint(configs.baseline(), app, SCALE)
+                  for app in ("gemv", "fft")]
+        (cache / "meta" / "timings.json").write_text(json.dumps({
+            point_digest(points[0].key()): {
+                "app": "gemv", "seconds": 0.5,
+                "hosts": {"vm-a": 0.4, "vm-b": 0.5, "vm-c": 0.6}},
+            point_digest(points[1].key()): {
+                "app": "fft", "seconds": 9.0, "hosts": {"vm-a": 9.0}},
+        }, sort_keys=True))
+        plan = plan_misses([(p.key(), p) for p in points], workers=1)
+        assert [pp.point.abbr for pp in plan] == ["fft", "gemv"]
+        assert [pp.est_seconds for pp in plan] == [9.0, 0.5]
+        assert all(pp.source == "measured" for pp in plan)
+        out = sweep(points[:1], jobs=1, progress=False)
+        timings = load_timings()
+        assert timings[point_digest(points[0].key())] == {
+            "app": "gemv",
+            "seconds": round(out.stats.point_seconds[points[0].key()], 4)}
+        assert timings[point_digest(points[1].key())]["seconds"] == 9.0
 
     def test_corrupt_timings_sidecar_warns_once_and_recovers(self, cache):
         """A torn write (crash mid-replace, disk-full half-file) degrades
@@ -493,6 +549,62 @@ class TestLockBackoff:
             "backoff must start fast and double")
         assert max(delays) == 0.25, "backoff must cap, not grow unbounded"
         assert delays[-1] == 0.25
+
+
+def _sweep_same_point(cache_dir: str, out_path: str, jobs: int,
+                      private_app: str | None) -> None:
+    """Subprocess entry: sweep the shared gemv point (plus ``private_app``,
+    so two misses send ``jobs=2`` down the pool path) and dump the shared
+    point's payload with the worker count the sweep used."""
+    os.environ["REPRO_CACHE_DIR"] = cache_dir
+    apps = ["gemv"] + ([private_app] if private_app else [])
+    out = sweep([SweepPoint(configs.baseline(), app, SCALE) for app in apps],
+                jobs=jobs, progress=False)
+    Path(out_path).write_text(json.dumps(
+        {"jobs": out.stats.jobs, "gemv": _serialize(out.results[0])},
+        sort_keys=True))
+
+
+class TestConcurrentSameKeyFill:
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["inline", "pool"])
+    def test_two_processes_filling_one_key_simulate_once(
+            self, cache, tmp_path, monkeypatch, jobs):
+        """Two independent sweeps race on the *same* cache key: the
+        per-key lockfile (with its capped backoff) must collapse them to
+        one simulation, on the inline path and inside pool workers."""
+        log = tmp_path / "simulations.log"
+
+        real_run = McmGpuSimulator.run
+
+        def counting_run(sim_self):
+            with open(log, "a") as fh:      # O_APPEND: atomic small write
+                fh.write(f"{sim_self.workloads[0].abbr}\n")
+            time.sleep(0.3)                 # widen the race window
+            return real_run(sim_self)
+
+        # The racing sweeps fork from this process, so the patch (and the
+        # log path) ride into every worker they spawn.
+        monkeypatch.setattr(McmGpuSimulator, "run", counting_run)
+        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        private = ["fft", "spmv"] if jobs > 1 else [None, None]
+        ctx = multiprocessing.get_context("fork")
+        outs = [tmp_path / f"result-{i}.json" for i in range(2)]
+        procs = [ctx.Process(target=_sweep_same_point,
+                             args=(str(cache), str(out), jobs, app))
+                 for out, app in zip(outs, private)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=180)
+        assert all(p.exitcode == 0 for p in procs), (
+            f"racing sweep crashed: {[p.exitcode for p in procs]}")
+        assert log.read_text().split().count("gemv") == 1, (
+            "the same key was simulated more than once across processes")
+        payloads = [json.loads(out.read_text()) for out in outs]
+        assert [p["jobs"] for p in payloads] == [jobs, jobs], (
+            "the race did not run on the intended path")
+        assert payloads[0]["gemv"] == payloads[1]["gemv"]
+        assert not list(cache.glob("*.lock")), "stale lockfile left behind"
 
 
 class TestDocsMatchCode:
