@@ -118,14 +118,16 @@ def bench_plan_misses() -> int:
 def bench_trace_memo_hit() -> int:
     """Memoized CTA-trace reuse vs regenerating offsets for every config.
 
-    Measures 40 ``build_cta_traces`` calls for the same (app, seed, scale)
-    group — the pattern an affinity worker sees sweeping one app across
-    every scheme — where all but the first are LRU hits.
+    Measures 5000 ``build_cta_traces`` calls for the same (app, seed,
+    scale) group — the pattern an affinity worker sees sweeping one app
+    across every scheme — where all but the first are LRU hits.  The
+    count keeps a round near 50 ms, so the hits, not the one ~6 ms cold
+    build, set the time.
     """
     workloads = [get_workload("fft")]
     seed = configs.baseline().seed
     mcm.TRACE_MEMO.clear()
-    calls = 40
+    calls = 5000
     for _ in range(calls):
         traces = mcm.build_cta_traces(workloads, seed, _SCALE)
         assert traces and traces[0]

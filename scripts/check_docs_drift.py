@@ -1,18 +1,13 @@
 #!/usr/bin/env python
-"""Docs-drift gate: every CLI subcommand and service route must be documented.
+"""Docs-drift gate: every CLI subcommand must be documented.
 
 The source of truth is the code itself — subcommands are enumerated from
-the live argparse parser, routes from ``repro.service.app.ROUTES`` — so
-adding a command or endpoint without documenting it fails CI with the
-exact list of what is missing and where we looked.
+the live argparse parser — so adding a command without documenting it
+fails CI with the exact list of what is missing and where we looked.
 
-Checks, against the docs corpus (``README.md``, ``DESIGN.md``, and every
-``docs/**/*.md``):
-
-* each ``repro <subcommand>`` appears at least once as an invocation
-  (``repro sweep``, ``python -m repro sweep``, ...);
-* each service route's path template appears verbatim (``/jobs/{id}``,
-  not a paraphrase), plus its method somewhere in the same file.
+Each ``repro <subcommand>`` must appear at least once as an invocation
+(``repro sweep``, ``python -m repro sweep``, ...) in the docs corpus:
+``README.md``, ``DESIGN.md``, and every ``docs/**/*.md``.
 
 Run it from the repo root::
 
@@ -43,35 +38,15 @@ def cli_subcommands() -> list[str]:
     raise SystemExit("could not enumerate subparsers from repro.cli")
 
 
-def service_routes():
-    from repro.service.app import ROUTES
-    return ROUTES
-
-
 def main() -> int:
     sys.path.insert(0, str(REPO / "src"))
     corpus = docs_corpus()
     blob = "\n".join(corpus.values())
-    problems: list[str] = []
-
-    for cmd in cli_subcommands():
-        # An invocation, not a prose mention: "repro <cmd>" as a command.
-        if not re.search(rf"\brepro\s+{re.escape(cmd)}\b", blob):
-            problems.append(
-                f"CLI subcommand `repro {cmd}` is not documented anywhere")
-
-    for route in service_routes():
-        hits = [path for path, text in corpus.items()
-                if route.template in text]
-        if not hits:
-            problems.append(
-                f"service route `{route.method} {route.template}` "
-                f"is not documented anywhere")
-            continue
-        if not any(route.method in corpus[path] for path in hits):
-            problems.append(
-                f"route path `{route.template}` is documented but its "
-                f"method `{route.method}` never appears alongside it")
+    cmds = cli_subcommands()
+    # An invocation, not a prose mention: "repro <cmd>" as a command.
+    problems = [f"CLI subcommand `repro {cmd}` is not documented anywhere"
+                for cmd in cmds
+                if not re.search(rf"\brepro\s+{re.escape(cmd)}\b", blob)]
 
     searched = ", ".join(str(p) for p in corpus)
     if problems:
@@ -80,10 +55,7 @@ def main() -> int:
         for item in problems:
             print(f"  - {item}", file=sys.stderr)
         return 1
-    n_cmds = len(cli_subcommands())
-    n_routes = len(service_routes())
-    print(f"docs drift: OK — {n_cmds} CLI subcommands and "
-          f"{n_routes} service routes all documented "
+    print(f"docs drift: OK — {len(cmds)} CLI subcommands all documented "
           f"across {len(corpus)} files")
     return 0
 

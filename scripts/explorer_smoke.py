@@ -7,7 +7,7 @@ scheme/app/scale tuples ``tests/test_golden_runs.py`` freezes), then runs
 
 1. The explorer renders the figure comparison, the latency-percentile
    table, and the cache overview purely from cached payloads — the
-   ``repro_simulations_total`` counter must not move.
+   runner's simulation counter (``runner.SIMULATIONS``) must not move.
 2. ``--html`` emits a self-contained static page (no scripts, no
    external fetches).
 3. The key-manifest sidecars let the catalog decode every point back to
@@ -47,7 +47,6 @@ def main() -> int:
     os.environ.pop("REPRO_NO_CACHE", None)
 
     from repro.cli import main as cli_main
-    from repro.common import metrics
     from repro.experiments import runner
     from repro.obs import catalog
 
@@ -60,17 +59,15 @@ def main() -> int:
     check(rc == 0, "warm sweep exits 0")
 
     print("[smoke] 2/3 explore renders from cache with zero simulations")
-    registry = metrics.enable()
-    before = registry.counter_total("repro_simulations_total")
+    before = runner.SIMULATIONS
     html_path = Path(cache_dir) / "report" / "index.html"
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = cli_main(["explore", "--html", str(html_path)])
     text = out.getvalue()
-    simulated = registry.counter_total("repro_simulations_total") - before
+    simulated = runner.SIMULATIONS - before
     check(rc == 0, "explore exits 0")
-    check(int(simulated) == 0,
-          f"explore ran {int(simulated)} simulations (want 0)")
+    check(simulated == 0, f"explore ran {simulated} simulations (want 0)")
     check("speedup over baseline" in text, "figure comparison rendered")
     check("translation latency percentiles" in text,
           "latency percentile table rendered")

@@ -12,9 +12,6 @@ Commands:
 * ``validate`` — differential validation: run several schemes on seeded
   fuzz workloads with the invariant checker installed and assert every
   delivered PFN matches the reference translator (and each other).
-* ``serve``  — run the simulation-as-a-service HTTP job API: submit
-  point-sets/figures/validate runs as jobs, poll progress, fetch cached
-  results (see docs/service.md).
 * ``explore`` — render figure comparisons, latency percentiles, phase
   breakdowns, and SIM_VERSION diffs from the result cache — with zero
   simulations, asserted (see docs/observability.md).
@@ -142,24 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                "departing tenant and prove the teardown "
                                "sweep catches it (needs --scenario; "
                                "expect failures)")
-
-    serve = sub.add_parser(
-        "serve", help="serve the simulation job API over HTTP")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8320,
-                       help="TCP port (default 8320; 0 = ephemeral)")
-    serve.add_argument("--job-slots", type=int, default=2,
-                       help="jobs allowed to run at once (default 2); "
-                            "further admissions queue")
-    serve.add_argument("--jobs", type=int, default=None,
-                       help="default sweep workers per job "
-                            "(default: REPRO_JOBS or all cores)")
-    serve.add_argument("--on-shutdown", choices=("drain", "cancel"),
-                       default="drain",
-                       help="SIGINT/SIGTERM behaviour: drain waits for "
-                            "in-flight jobs; cancel stops them at the "
-                            "next point boundary (default drain)")
 
     report = sub.add_parser(
         "report", help="stitch results/ into results/SUMMARY.md")
@@ -345,18 +324,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import (
-        JobStore,
-        ServiceApp,
-        serve_forever,
-    )
-
-    store = JobStore(job_slots=args.job_slots, sweep_jobs=args.jobs)
-    return serve_forever(ServiceApp(store), args.host, args.port,
-                         on_shutdown=args.on_shutdown)
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.summary import write_summary
     path = write_summary(args.results)
@@ -367,15 +334,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_explore(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.common import metrics
+    from repro.experiments import runner
     from repro.obs import catalog, reports
 
-    # The explorer's contract is *zero simulations*: enable the metrics
-    # registry and assert the simulation counter did not move while the
-    # report rendered.  (Everything below reads cached payloads only;
-    # this turns that design intent into a checked invariant.)
-    registry = metrics.enable()
-    before = registry.counter_total("repro_simulations_total")
+    # The explorer's contract is *zero simulations*: assert the runner's
+    # simulation counter did not move while the report rendered.
+    # (Everything below reads cached payloads only; this turns that
+    # design intent into a checked invariant.)
+    before = runner.SIMULATIONS
 
     entries = catalog.scan(args.cache)
     sections = [reports.overview(entries),
@@ -396,8 +362,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             diff=tuple(args.diff) if args.diff else None))
         sections.append(f"wrote {out}")
 
-    simulated = int(registry.counter_total("repro_simulations_total")
-                    - before)
+    simulated = runner.SIMULATIONS - before
     if simulated:
         raise SystemExit(
             f"explore must never simulate, but ran {simulated} "
@@ -421,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"run": _cmd_run, "suite": _cmd_suite,
                 "figure": _cmd_figure, "sweep": _cmd_sweep,
                 "trace": _cmd_trace, "validate": _cmd_validate,
-                "serve": _cmd_serve, "report": _cmd_report,
+                "report": _cmd_report,
                 "explore": _cmd_explore, "list": _cmd_list}
     return handlers[args.command](args)
 

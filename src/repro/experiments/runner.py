@@ -32,14 +32,11 @@ import dataclasses
 import hashlib
 import json
 import os
-import re
-import threading
 import time
 import warnings
 from pathlib import Path
 from typing import Callable
 
-from repro.common import metrics
 from repro.common.config import SimConfig
 from repro.common.stats import Histogram, LatencyHistogram
 from repro.gpu.mcm import McmGpuSimulator, SimResult
@@ -149,28 +146,6 @@ def point_digest(key: str) -> str:
     return hashlib.sha256(key.encode()).hexdigest()[:24]
 
 
-#: Shape of a :func:`point_digest` value — 24 lowercase hex chars.  The
-#: service's ``GET /results/{key}`` route validates against this before
-#: touching the filesystem.
-DIGEST_RE = re.compile(r"^[0-9a-f]{24}$")
-
-
-def result_path_by_digest(digest: str) -> Path | None:
-    """Locate a cache file by its point digest alone.
-
-    The service's result route hands out digests (not full point keys —
-    those embed the whole config JSON), so fetching a result means finding
-    the one ``<app>-<digest>.json`` file that carries it.  Returns None
-    when caching is off, the digest is malformed, or no such point has
-    been published.
-    """
-    root = _cache_dir()
-    if root is None or not DIGEST_RE.match(digest):
-        return None
-    matches = sorted(root.glob(f"*-{digest}.json"))
-    return matches[0] if matches else None
-
-
 def _point_path(config: SimConfig, app: str, scale: float,
                 workload_tag: str) -> Path | None:
     root = _cache_dir()
@@ -273,6 +248,11 @@ def load_key_manifest(digest: str) -> dict | None:
     return payload if isinstance(payload, dict) else None
 
 
+#: Points this process actually simulated through :func:`_fill_point`
+#: (cache hits do not count).  ``repro explore`` asserts it stays put.
+SIMULATIONS = 0
+
+
 def _fill_point(path: Path | None, compute: Callable[[], SimResult],
                 key_meta: Callable[[], tuple] | None = None) -> SimResult:
     """Return the cached result at ``path``, filling it under a lockfile.
@@ -293,30 +273,20 @@ def _fill_point(path: Path | None, compute: Callable[[], SimResult],
     winner record the point's key components in the catalog manifest
     after publishing; it is never invoked on a hit.
     """
-    m = metrics.METRICS
+    global SIMULATIONS
     if path is None:
-        m.counter("repro_simulations_total",
-                  "simulation points actually computed").inc()
+        SIMULATIONS += 1
         return compute()
     if path.exists():
-        m.counter("repro_cache_requests_total",
-                  "point lookups through the fill path").inc(outcome="hit")
         return _load(path)
-    m.counter("repro_cache_requests_total",
-              "point lookups through the fill path").inc(outcome="miss")
     if _cache_dir(create=True) is None:   # cache dir vanished / read-only
-        m.counter("repro_simulations_total",
-                  "simulation points actually computed").inc()
+        SIMULATIONS += 1
         return compute()
     lock = path.with_suffix(".lock")
     while True:
         try:
             fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            m.counter("repro_cache_lock_waits_total",
-                      "lockfile collisions (another worker owns the "
-                      "fill)").inc()
-            wait_start = time.perf_counter()
             delay = _LOCK_POLL_INITIAL_S
             while lock.exists() and not path.exists():
                 with contextlib.suppress(FileNotFoundError):
@@ -325,9 +295,6 @@ def _fill_point(path: Path | None, compute: Callable[[], SimResult],
                         break
                 time.sleep(delay)
                 delay = min(delay * 2, _LOCK_POLL_MAX_S)
-            m.histogram("repro_cache_lock_wait_seconds",
-                        "time spent parked on another worker's "
-                        "lockfile").observe(time.perf_counter() - wait_start)
             if path.exists():
                 return _load(path)
             continue  # lock released or stolen but no result: try to acquire
@@ -335,14 +302,9 @@ def _fill_point(path: Path | None, compute: Callable[[], SimResult],
         try:
             if path.exists():  # filled while we raced for the lock
                 return _load(path)
-            fill_start = time.perf_counter()
             result = compute()
             _atomic_write(path, result)
-            m.counter("repro_simulations_total",
-                      "simulation points actually computed").inc()
-            m.histogram("repro_cache_fill_seconds",
-                        "wall time to simulate and publish a cache "
-                        "miss").observe(time.perf_counter() - fill_start)
+            SIMULATIONS += 1
             if key_meta is not None:
                 _write_key_manifest(path, *key_meta())
             return result
@@ -367,7 +329,7 @@ def load_timings() -> dict[str, dict]:
     been recorded.  A corrupt or truncated sidecar
     (torn write from a crashed process, disk-full half-file) degrades to
     {} — unordered-but-correct scheduling — with a one-time structured
-    warning and a metrics count rather than silence.
+    warning rather than silence.
     """
     root = _cache_dir()
     if root is None:
@@ -383,10 +345,6 @@ def load_timings() -> dict[str, dict]:
             raise ValueError(f"expected a JSON object, got "
                              f"{type(payload).__name__}")
     except (json.JSONDecodeError, ValueError) as exc:
-        metrics.METRICS.counter(
-            "repro_timings_sidecar_errors_total",
-            "corrupt/truncated timings sidecar reads (degraded to "
-            "unordered scheduling)").inc()
         if str(path) not in _WARNED_TIMINGS:
             _WARNED_TIMINGS.add(str(path))
             warnings.warn(
@@ -429,18 +387,10 @@ def record_timings(entries) -> None:
 # Point collection (prewarm support for the sweep engine)
 # --------------------------------------------------------------------------
 
-#: When a thread's ``sink`` is not None, ``run_point``/``run_pair`` record
-#: their would-be points there and return a cheap stub instead of
-#: simulating.  The sweep engine uses this to discover a figure's full
-#: point-set up front.  Thread-local, so a service thread enumerating one
-#: job's points can never leak stubs into another thread's real
-#: simulation (the job API collects and evaluates on different threads
-#: concurrently).
-_COLLECT = threading.local()
-
-
-def _collect_sink() -> list | None:
-    return getattr(_COLLECT, "sink", None)
+#: When not None, ``run_point``/``run_pair`` record their would-be points
+#: in this list and return a cheap stub instead of simulating.  The sweep
+#: engine uses this to discover a figure's full point-set up front.
+_COLLECT: list | None = None
 
 
 @contextlib.contextmanager
@@ -449,17 +399,18 @@ def collecting():
 
     Yields the sink list.  Used by :func:`repro.experiments.sweep.collect_points`
     to enumerate every simulation point an experiment function would run.
-    Collection mode is per-thread (see :data:`_COLLECT`).
+    Nests: the enclosing sink is restored on exit.
     """
-    prev, _COLLECT.sink = _collect_sink(), []
+    global _COLLECT
+    prev, _COLLECT = _COLLECT, []
     try:
-        yield _COLLECT.sink
+        yield _COLLECT
     finally:
-        _COLLECT.sink = prev
+        _COLLECT = prev
 
 
 def is_collecting() -> bool:
-    return _collect_sink() is not None
+    return _COLLECT is not None
 
 
 def _stub_result(app: str) -> SimResult:
@@ -489,13 +440,7 @@ def cached_result(config: SimConfig, app: str | Workload,
     abbr = app if isinstance(app, str) else app.abbr
     path = _point_path(config, abbr, scale, workload_tag)
     if path is not None and path.exists():
-        metrics.METRICS.counter(
-            "repro_cache_probe_total",
-            "read-only cache probes (sweep dedupe)").inc(outcome="hit")
         return _load(path)
-    metrics.METRICS.counter(
-        "repro_cache_probe_total",
-        "read-only cache probes (sweep dedupe)").inc(outcome="miss")
     return None
 
 
@@ -529,7 +474,7 @@ def run_point(config: SimConfig, app: str | Workload,
     e.g. ``"x16"`` for Fig 24's scaled inputs).
     """
     scale = bench_scale() if scale is None else scale
-    sink = _collect_sink()
+    sink = _COLLECT
     if sink is not None:
         abbr = app if isinstance(app, str) else app.abbr
         sink.append((config, app, scale, workload_tag, None))
@@ -547,7 +492,7 @@ def run_pair(config: SimConfig, app_a: str, app_b: str,
              scale: float | None = None) -> SimResult:
     """Multi-programming point: two apps co-scheduled (Section VII-I)."""
     scale = bench_scale() if scale is None else scale
-    sink = _collect_sink()
+    sink = _COLLECT
     if sink is not None:
         sink.append((config, app_a, scale, "", app_b))
         return _stub_result(app_a)

@@ -42,13 +42,11 @@ import os
 import signal
 import statistics
 import sys
-import threading
 import time
 import traceback
 from dataclasses import dataclass, field
 from queue import Empty
 
-from repro.common import metrics
 from repro.common.config import SimConfig
 from repro.experiments import runner
 from repro.gpu import mcm
@@ -65,17 +63,6 @@ _STEAL_POLL_S = 0.005
 #: Seconds a stopped pool worker gets to finish (and cache-publish) its
 #: in-flight point before it is terminated.
 _JOIN_GRACE_S = 10.0
-
-
-class SweepCancelled(RuntimeError):
-    """Raised by :func:`sweep` when its ``cancel`` event is set mid-run.
-
-    Cancellation is cooperative and lands on point boundaries: every
-    point that finished before the event was observed has already been
-    published to the result cache (atomic fill), so re-submitting the
-    same point-set resumes from where the cancelled run stopped — the
-    finished points come back as cache hits.
-    """
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,24 +272,17 @@ class _Progress:
     never inflate it — divided by the workers currently running.  The
     callers emit a final update after the last miss completes, so the
     line reaches ``total/total`` instead of freezing one point short.
-
-    ``observer`` (if given) receives every :meth:`snapshot` dict as it is
-    produced, independent of the TTY line — this is what the job API
-    streams back to polling clients, so the numbers a client sees are
-    exactly the numbers the terminal line would show.
     """
 
-    def __init__(self, total: int, cached: int, enabled: bool | None = None,
-                 observer=None):
+    def __init__(self, total: int, cached: int, enabled: bool | None = None):
         self.total = total
         self.cached = cached
         self.enabled = sys.stderr.isatty() if enabled is None else enabled
-        self.observer = observer
         self.start = time.perf_counter()
         self._drawn = False
 
-    def snapshot(self, done: int, running: int) -> dict:
-        """Point-in-time progress: done/cached/running counts plus ETA.
+    def eta(self, done: int, running: int) -> float | None:
+        """Seconds until the remaining misses finish, or None.
 
         No outstanding misses — an all-cached sweep's very first update,
         or any run's final one — is an honest ETA of 0, never ``inf`` or
@@ -312,24 +292,17 @@ class _Progress:
         simulated = max(0, done - self.cached)
         misses_left = max(0, self.total - done)
         if misses_left == 0:
-            eta = 0.0
-        elif simulated > 0:
+            return 0.0
+        if simulated > 0:
             rate = (time.perf_counter() - self.start) / simulated
-            eta = rate * misses_left / max(1, running)
-        else:
-            eta = None
-        return {"total": self.total, "cached": self.cached, "done": done,
-                "running": running, "eta_seconds": eta,
-                "elapsed_seconds": time.perf_counter() - self.start}
+            return rate * misses_left / max(1, running)
+        return None
 
     def update(self, done: int, running: int) -> None:
-        snap = self.snapshot(done, running)
-        if self.observer is not None:
-            self.observer(snap)
         if not self.enabled or not self.total:
             return
-        eta = ("" if snap["eta_seconds"] is None
-               else f", ETA {snap['eta_seconds']:.0f}s")
+        eta = self.eta(done, running)
+        eta = "" if eta is None else f", ETA {eta:.0f}s"
         line = (f"[sweep] {done}/{self.total} points "
                 f"({self.cached} cached, {running} running{eta})")
         sys.stderr.write("\r" + line.ljust(79))
@@ -347,17 +320,12 @@ class _Progress:
 # --------------------------------------------------------------------------
 
 def _run_serial(plan: list[PlannedPoint], reporter: _Progress,
-                results: dict, stats: SweepStats, cancel=None,
-                events=None) -> None:
+                results: dict, stats: SweepStats, events=None) -> None:
     """Run every miss inline, in plan order (cost-model longest-first)."""
     memo = mcm.TRACE_MEMO
     reporter.update(stats.cached, running=1)
     done = 0
     for pp in plan:
-        if cancel is not None and cancel.is_set():
-            raise SweepCancelled(
-                f"sweep cancelled with {len(plan) - done} "
-                f"misses outstanding")
         _emit(events, "point_start", digest=runner.point_digest(pp.key),
               app=pp.point.abbr, worker=0)
         hits, memo_misses = memo.hits, memo.misses
@@ -437,8 +405,7 @@ def _drain(q) -> None:
 
 
 def _run_pool(plan: list[PlannedPoint], workers: int, reporter: _Progress,
-              results: dict, stats: SweepStats, cancel=None,
-              events=None) -> None:
+              results: dict, stats: SweepStats, events=None) -> None:
     """Run the misses on ``workers`` processes, one queue each, stealing."""
     import multiprocessing  # ~10 ms; inline-only sweeps never pay it
     ctx = multiprocessing.get_context()
@@ -459,13 +426,6 @@ def _run_pool(plan: list[PlannedPoint], workers: int, reporter: _Progress,
     reporter.update(cached, running=min(workers, pending))
     try:
         while pending:
-            if cancel is not None and cancel.is_set():
-                # The finally block below stops the workers; each
-                # finishes (and cache-publishes) its in-flight point
-                # first, so a resume re-runs only the points never
-                # started.
-                raise SweepCancelled(
-                    f"sweep cancelled with {pending} misses outstanding")
             try:
                 (index, payload, seconds, memo_hits, memo_misses, stolen,
                  error) = result_q.get(timeout=0.25)
@@ -527,9 +487,7 @@ def _run_pool(plan: list[PlannedPoint], workers: int, reporter: _Progress,
 # --------------------------------------------------------------------------
 
 def sweep(points, jobs: int | None = None, progress: bool | None = None,
-          dry_run: bool = False, observer=None,
-          cancel: threading.Event | None = None,
-          events=None) -> SweepOutcome:
+          dry_run: bool = False, events=None) -> SweepOutcome:
     """Deduplicate ``points`` against the cache and schedule the misses.
 
     Returns results in submission order (duplicates each get the shared
@@ -538,19 +496,11 @@ def sweep(points, jobs: int | None = None, progress: bool | None = None,
     simulating — missing points come back as ``None`` with the cost-model
     schedule in ``outcome.plan``.
 
-    ``observer`` receives every progress snapshot dict (see
-    :meth:`_Progress.snapshot`) including a final one; ``cancel`` is a
-    :class:`threading.Event` checked on point boundaries — once set, the
-    run stops dispatching, lets in-flight points publish to the cache,
-    records the timings of everything that finished, and raises
-    :class:`SweepCancelled`.  Together they make a sweep drivable as a
-    background job (:class:`SweepJob`, the service API).
-
     ``events`` is a callable receiving structured run-event dicts
     (``sweep_start``, ``point_cache_hit``, ``point_start``,
-    ``point_finish``, ``sweep_cancelled``, ``sweep_finish`` — see
-    ``docs/observability.md``); :class:`repro.obs.eventlog.RunEventLog`
-    is the JSONL-persisting sink the service wires in.
+    ``point_finish``, ``sweep_finish`` — see ``docs/observability.md``);
+    :class:`repro.obs.eventlog.RunEventLog` is the JSONL-persisting sink
+    ``repro sweep --events`` wires in.
     """
     points = list(points)
     if runner.is_collecting():
@@ -584,8 +534,7 @@ def sweep(points, jobs: int | None = None, progress: bool | None = None,
         _emit(events, "point_cache_hit",
               digest=runner.point_digest(key), app=point.abbr)
     plan: list[PlannedPoint] = []
-    reporter = _Progress(len(unique), cached, enabled=progress,
-                         observer=observer)
+    reporter = _Progress(len(unique), cached, enabled=progress)
     if dry_run:
         plan = plan_misses(misses, _pool_width(jobs, len(misses) or 1))
         for key, _ in misses:
@@ -596,50 +545,18 @@ def sweep(points, jobs: int | None = None, progress: bool | None = None,
         try:
             plan = plan_misses(misses, stats.jobs)
             if stats.jobs == 1:
-                _run_serial(plan, reporter, results, stats,
-                            cancel=cancel, events=events)
+                _run_serial(plan, reporter, results, stats, events=events)
             else:
                 _run_pool(plan, stats.jobs, reporter, results, stats,
-                          cancel=cancel, events=events)
-        except SweepCancelled as exc:
-            _emit(events, "sweep_cancelled", error=str(exc))
-            metrics.METRICS.counter(
-                "repro_sweeps_total", "sweep() calls by outcome").inc(
-                outcome="cancelled")
-            raise
+                          events=events)
         finally:
-            # A cancelled run still banks the wall-times it measured —
-            # the cost model should learn from every completed point.
+            # A failed run still banks the wall-times it measured — the
+            # cost model should learn from every completed point.
             runner.record_timings(
                 (pp.key, pp.point.abbr, stats.point_seconds[pp.key])
                 for pp in plan if pp.key in stats.point_seconds)
     reporter.finish()
     stats.elapsed = time.perf_counter() - start
-    if observer is not None:
-        observer(reporter.snapshot(cached + len(stats.point_seconds),
-                                   running=0))
-    reg = metrics.METRICS
-    if reg.enabled:
-        pts = reg.counter("repro_sweep_points_total",
-                          "sweep points by disposition")
-        pts.inc(cached, status="cached")
-        pts.inc(len(stats.point_seconds), status="simulated")
-        if stats.steals:
-            reg.counter("repro_sweep_steals_total",
-                        "points drained from a peer worker queue").inc(
-                stats.steals)
-        memo = reg.counter("repro_sweep_memo_total",
-                           "CTA-trace memo lookups across sweep workers")
-        if stats.memo_hits:
-            memo.inc(stats.memo_hits, outcome="hit")
-        if stats.memo_misses:
-            memo.inc(stats.memo_misses, outcome="miss")
-        secs = reg.histogram("repro_sweep_point_seconds",
-                             "measured wall-time of each simulated point")
-        for seconds in stats.point_seconds.values():
-            secs.observe(seconds)
-        reg.counter("repro_sweeps_total", "sweep() calls by outcome").inc(
-            outcome="dry-run" if dry_run else "completed")
     _emit(events, "sweep_finish", total=stats.total, unique=stats.unique,
           cached=stats.cached, simulated=len(stats.point_seconds),
           steals=stats.steals, memo_hits=stats.memo_hits,
@@ -673,132 +590,3 @@ def prewarm(fn, *args, jobs: int | None = None,
     """
     return sweep(collect_points(fn, *args, **kwargs),
                  jobs=jobs, progress=progress)
-
-
-# --------------------------------------------------------------------------
-# Job handle (the service API's unit of work)
-# --------------------------------------------------------------------------
-
-class SweepJob:
-    """A cancellable, resumable handle around one :func:`sweep` call.
-
-    The service layer (``repro.service``) needs three things the bare
-    function does not give it: a progress snapshot readable from another
-    thread, cooperative cancellation, and the ability to *resume* a
-    cancelled run.  ``SweepJob`` provides all three on top of the
-    existing machinery:
-
-    * progress comes from the sweep's ``observer`` hook — the same
-      ``_Progress`` snapshots the terminal line draws;
-    * :meth:`cancel` sets the event :func:`sweep` checks on point
-      boundaries;
-    * resume is free: finished points were cache-published before the
-      cancel landed, so :meth:`run` (or :meth:`start`) called again
-      serves them as hits and simulates only the remainder.
-
-    ``run()`` executes in the calling thread (what the service's job
-    executor uses); ``start()`` spawns a daemon thread for fire-and-forget
-    use.  States: ``pending → running → completed | cancelled | failed``,
-    with ``cancelled``/``failed`` restartable.
-    """
-
-    def __init__(self, points, jobs: int | None = None,
-                 cancel_event: threading.Event | None = None,
-                 events=None):
-        self.points = list(points)
-        self.jobs = jobs
-        #: Structured run-event sink (see :func:`sweep`); progress
-        #: snapshots are forwarded to it too, as ``progress`` events.
-        self.events = events
-        self.state = "pending"
-        self.outcome: SweepOutcome | None = None
-        self.error: str | None = None
-        #: Sharable: a caller may pass its own event so an external
-        #: cancel signal (e.g. the service's DELETE route) reaches the
-        #: sweep directly.
-        self._cancel = cancel_event if cancel_event is not None \
-            else threading.Event()
-        self._lock = threading.Lock()
-        self._thread: threading.Thread | None = None
-        self._progress: dict = {"total": len(self.points), "cached": 0,
-                                "done": 0, "running": 0, "eta_seconds": None,
-                                "elapsed_seconds": 0.0}
-
-    def _observe(self, snap: dict) -> None:
-        self._progress = snap
-        if self.events is not None:
-            try:
-                self.events({"event": "progress", **snap})
-            except Exception:
-                pass    # a broken sink must never kill the sweep
-
-    def run(self) -> SweepOutcome | None:
-        """Execute (or resume) the sweep in the calling thread."""
-        with self._lock:
-            if self.state == "running":
-                raise RuntimeError("SweepJob is already running")
-            if self.state == "completed":
-                return self.outcome
-            if self.state in ("cancelled", "failed"):
-                # Resuming: the old cancel request must not kill the rerun.
-                self._cancel.clear()
-            self.state = "running"
-            self.error = None
-        try:
-            outcome = sweep(self.points, jobs=self.jobs, progress=False,
-                            observer=self._observe, cancel=self._cancel,
-                            events=self.events)
-        except SweepCancelled as exc:
-            with self._lock:
-                self.state, self.error = "cancelled", str(exc)
-            return None
-        except Exception as exc:
-            with self._lock:
-                self.state, self.error = "failed", f"{type(exc).__name__}: {exc}"
-            raise
-        with self._lock:
-            self.outcome, self.state = outcome, "completed"
-        return outcome
-
-    def start(self) -> threading.Thread:
-        """Run in a background daemon thread; returns the thread."""
-        with self._lock:
-            if self._thread is not None and self._thread.is_alive():
-                raise RuntimeError("SweepJob is already running")
-
-        def _target():
-            try:
-                self.run()
-            except Exception:
-                pass    # recorded in self.error by run()
-
-        self._thread = threading.Thread(target=_target, daemon=True,
-                                        name="sweep-job")
-        self._thread.start()
-        return self._thread
-
-    def cancel(self) -> None:
-        """Request cancellation; the run stops at the next point boundary."""
-        self._cancel.set()
-
-    def join(self, timeout: float | None = None) -> None:
-        if self._thread is not None:
-            self._thread.join(timeout)
-
-    def snapshot(self) -> dict:
-        """Thread-safe view: state, progress counters, error, stats."""
-        with self._lock:
-            snap = {"state": self.state, "progress": dict(self._progress),
-                    "error": self.error}
-            if self.outcome is not None:
-                stats = self.outcome.stats
-                snap["stats"] = {
-                    "total": stats.total, "unique": stats.unique,
-                    "cached": stats.cached, "simulated": stats.simulated,
-                    "jobs": stats.jobs,
-                    "elapsed": round(stats.elapsed, 4),
-                    "memo_hits": stats.memo_hits,
-                    "memo_misses": stats.memo_misses,
-                    "steals": stats.steals,
-                }
-            return snap

@@ -17,17 +17,15 @@ package is that something, in three parts:
   reads cached payloads only, and ``repro explore`` asserts it.
 * :mod:`repro.obs.eventlog` — a JSONL sink for the sweep engine's
   structured run events (``sweep_start``, ``point_start``, ...) so a
-  job's timeline is reconstructible after the fact.
+  sweep's timeline is reconstructible after the fact.
 """
 
-from repro.obs.catalog import CatalogEntry, catalog_index, scan
-from repro.obs.eventlog import RunEventLog, event_log_path, read_events
+from repro.obs.catalog import CatalogEntry, scan
+from repro.obs.eventlog import RunEventLog, read_events
 
 __all__ = [
     "CatalogEntry",
     "RunEventLog",
-    "catalog_index",
-    "event_log_path",
     "read_events",
     "scan",
 ]

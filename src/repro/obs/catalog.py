@@ -56,27 +56,6 @@ class CatalogEntry:
         """The full :class:`~repro.gpu.mcm.SimResult` behind this entry."""
         return runner._deserialize(dict(self.payload))
 
-    def to_dict(self, verbose: bool = False) -> dict:
-        """JSON-ready form (the service's catalog routes).
-
-        ``verbose`` includes the raw payload; the index view omits it to
-        keep ``GET /sweeps`` proportional to the number of points, not
-        their size.
-        """
-        out = {"digest": self.digest, "file": self.file, "app": self.app,
-               "backend": self.backend, "scheme": self.scheme,
-               "scale": self.scale, "sim_version": self.sim_version,
-               "tag": self.tag, "seconds": self.seconds,
-               "cycles": self.cycles}
-        if verbose:
-            hist = self.latency
-            out["latency"] = {"samples": hist.total(),
-                              "mean": round(hist.mean(), 2),
-                              "p50": hist.p50, "p90": hist.p90,
-                              "p99": hist.p99, "max": hist.max}
-            out["payload"] = self.payload
-        return out
-
 
 def scheme_index() -> dict[str, str]:
     """Canonical config JSON -> scheme name, for every registered scheme."""
@@ -137,33 +116,6 @@ def scan(root: Path | str | None = None) -> list[CatalogEntry]:
                                 e.scale if e.scale is not None else -1.0,
                                 e.digest))
     return entries
-
-
-def entry_by_digest(digest: str,
-                    root: Path | str | None = None) -> CatalogEntry | None:
-    """Decode one cached point by its digest, or None."""
-    if root is None:
-        path = runner.result_path_by_digest(digest)
-        if path is None:
-            return None
-        return _entry_from_file(path, runner.load_timings(), scheme_index())
-    matches = sorted(Path(root).glob(f"*-{digest}.json"))
-    if not matches:
-        return None
-    return _entry_from_file(matches[0], {}, scheme_index())
-
-
-def catalog_index(root: Path | str | None = None) -> dict:
-    """Summary view of the whole cache (what ``GET /sweeps`` returns)."""
-    entries = scan(root)
-    versions = sorted({e.sim_version for e in entries if e.sim_version})
-    return {
-        "points": [e.to_dict() for e in entries],
-        "count": len(entries),
-        "apps": sorted({e.app for e in entries}),
-        "schemes": sorted({e.scheme for e in entries}),
-        "sim_versions": versions,
-    }
 
 
 def group_by_scheme(entries: list[CatalogEntry],

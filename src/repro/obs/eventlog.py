@@ -2,18 +2,15 @@
 
 The sweep engine emits plain event dicts (``sweep_start``,
 ``point_cache_hit``, ``point_start``, ``point_finish``,
-``sweep_cancelled``, ``sweep_finish`` — plus ``progress`` snapshots
-forwarded by :class:`~repro.experiments.sweep.SweepJob`) through an
-``events`` callable and stays free of I/O and timestamps itself, so its
-behaviour is deterministic with or without a sink.  :class:`RunEventLog`
-is the sink: it stamps each event with a monotonic sequence number and a
-wall-clock timestamp and appends it as one JSON line.
+``sweep_finish``) through an ``events`` callable and stays free of I/O
+and timestamps itself, so its behaviour is deterministic with or without
+a sink.  :class:`RunEventLog` is the sink: it stamps each event with a
+monotonic sequence number and a wall-clock timestamp and appends it as
+one JSON line.
 
-The service keeps one log per job at
-``<cache_root>/meta/events/<job_id>.jsonl`` (:func:`event_log_path`) so
-a run's timeline — what was cached, what was stolen, how long each point
-took, when it was cancelled — is reconstructible after the fact with
-:func:`read_events` or plain ``jq``.
+``repro sweep --events PATH`` writes one such log, so a run's timeline —
+what was cached, what was stolen, how long each point took — is
+reconstructible after the fact with :func:`read_events` or plain ``jq``.
 """
 
 from __future__ import annotations
@@ -23,38 +20,10 @@ import threading
 import time
 from pathlib import Path
 
-from repro.experiments import runner
-
-#: Event-log directory under the result-cache root.
-_EVENTS_SIDECAR = Path("meta") / "events"
-
 #: Safety valve: one log stops growing past this many events.  A sweep
-#: emits a handful of events per point plus throttled progress
-#: snapshots, so a real run sits far below it; the cap exists so a
-#: runaway observer loop cannot fill the disk.
+#: emits a handful of events per point, so a real run sits far below it;
+#: the cap exists so a runaway caller cannot fill the disk.
 MAX_EVENTS = 100_000
-
-
-def events_dir() -> Path | None:
-    """The event-log directory, or None when caching is off."""
-    root = runner._cache_dir()
-    if root is None:
-        return None
-    return root / _EVENTS_SIDECAR
-
-
-def event_log_path(job_id: str) -> Path | None:
-    """Where a job's event log lives (None when caching is off).
-
-    ``job_id`` must already be filesystem-safe — the service's job ids
-    (``job-<hex>``) are; anything with a path separator is rejected.
-    """
-    if "/" in job_id or "\\" in job_id or job_id in ("", ".", ".."):
-        raise ValueError(f"unsafe job id for an event log: {job_id!r}")
-    root = events_dir()
-    if root is None:
-        return None
-    return root / f"{job_id}.jsonl"
 
 
 class RunEventLog:

@@ -3,7 +3,7 @@
 Every renderer here consumes :class:`~repro.obs.catalog.CatalogEntry`
 objects (or banked trace-span JSONL) and produces text or HTML; none of
 them can trigger a simulation, which is the property ``repro explore``
-asserts via the metrics registry's ``repro_simulations_total`` counter.
+asserts via the runner's simulation counter (``runner.SIMULATIONS``).
 
 The views mirror the paper's headline evidence:
 

@@ -5,23 +5,23 @@ simulation points, then assert everything downstream — decoding,
 comparison tables, HTML rendering, the ``repro explore`` command —
 works from cached payloads alone.  The explorer's zero-simulation
 contract is asserted the same way the CLI asserts it: through the
-metrics registry's ``repro_simulations_total`` counter.
+runner's simulation counter (``runner.SIMULATIONS``).
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro import cli
-from repro.common import metrics
 from repro.common.trace import Span, read_spans_jsonl, write_spans_jsonl
 from repro.experiments import runner as runner_mod
 from repro.experiments.runner import run_point
 from repro.experiments.sweep import SweepPoint, sweep
-from repro.obs import catalog, eventlog, reports
-from repro.obs.eventlog import RunEventLog, event_log_path, read_events
+from repro.obs import catalog, reports
+from repro.obs.eventlog import RunEventLog, read_events
 
 SCALE = 0.05
 APP = "gemv"
@@ -33,13 +33,6 @@ def cache(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     return tmp_path
-
-
-@pytest.fixture(autouse=True)
-def _restore_metrics():
-    held = metrics.METRICS
-    yield
-    metrics.METRICS = held
 
 
 def warm(schemes=("baseline", "fbarre")):
@@ -95,21 +88,6 @@ class TestCatalog:
         assert catalog.scan() == []
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         assert catalog.scan() == []
-
-    def test_entry_by_digest_and_catalog_index(self, cache):
-        warm(("baseline",))
-        index = catalog.catalog_index()
-        assert index["count"] == 1
-        assert index["apps"] == [APP]
-        assert index["schemes"] == ["baseline"]
-        assert index["sim_versions"] == [runner_mod.SIM_VERSION]
-        digest = index["points"][0]["digest"]
-        entry = catalog.entry_by_digest(digest)
-        assert entry is not None
-        detail = entry.to_dict(verbose=True)
-        assert detail["payload"]["cycles"] == entry.cycles
-        assert detail["latency"]["samples"] == entry.latency.total()
-        assert catalog.entry_by_digest("f" * 24) is None
 
     def test_scan_ignores_torn_or_foreign_json(self, cache):
         warm(("baseline",))
@@ -213,18 +191,6 @@ class TestEventLog:
         assert [r["event"] for r in read_events(path)] == ["a"]
         assert read_events(tmp_path / "missing.jsonl") == []
 
-    def test_event_log_path_rejects_unsafe_ids(self, cache):
-        assert event_log_path("j000001") == \
-            cache / "meta" / "events" / "j000001.jsonl"
-        for bad in ("../escape", "a/b", ""):
-            with pytest.raises(ValueError):
-                event_log_path(bad)
-
-    def test_events_dir_none_when_cache_off(self, cache, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        assert eventlog.events_dir() is None
-        assert event_log_path("j1") is None
-
     def test_sweep_emits_lifecycle_events(self, cache):
         log = RunEventLog(None)
         point = SweepPoint(cli.SCHEMES["baseline"](), APP, SCALE)
@@ -235,7 +201,7 @@ class TestEventLog:
         assert "point_start" in kinds and "point_finish" in kinds
         finish = next(e for e in log.events if e["event"] == "point_finish")
         assert finish["app"] == APP and finish["stolen"] is False
-        assert runner_mod.DIGEST_RE.match(finish["digest"])
+        assert re.fullmatch(r"[0-9a-f]{24}", finish["digest"])
         # Second run: everything cached, so the timeline says so.
         rerun = RunEventLog(None)
         sweep([point], jobs=1, progress=False, events=rerun)
@@ -252,6 +218,18 @@ class TestExploreCli:
         assert "speedup over baseline" in out
         assert "translation latency percentiles" in out
         assert "0 simulations" in out
+
+    def test_explore_fails_when_a_renderer_simulates(self, cache,
+                                                     monkeypatch):
+        warm(("baseline",))
+
+        def simulating_overview(entries):
+            run_point(cli.SCHEMES["fbarre"](), APP, scale=SCALE)  # cold
+            return "overview"
+
+        monkeypatch.setattr(reports, "overview", simulating_overview)
+        with pytest.raises(SystemExit, match="explore must never simulate"):
+            cli.main(["explore"])
 
     def test_explore_writes_html_report(self, cache, tmp_path, capsys):
         warm(("baseline",))

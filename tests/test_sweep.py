@@ -28,7 +28,6 @@ from repro.experiments.runner import (
     store_point,
 )
 from repro.experiments.sweep import (
-    SweepJob,
     SweepPoint,
     _pool_width,
     _Progress,
@@ -269,8 +268,6 @@ class TestSchedulerDeterminism:
         stale ``REPRO_SCHEDULER`` in the environment changes nothing."""
         with pytest.raises(TypeError, match="scheduler"):
             sweep(_scheme_points(), progress=False, scheduler="affinity")
-        with pytest.raises(TypeError, match="scheduler"):
-            SweepJob(_scheme_points(), scheduler="affinity")
         monkeypatch.setenv("REPRO_SCHEDULER", "bogus")
         out = sweep(_scheme_points()[:1], jobs=1, progress=False)
         assert out.stats.simulated == 1
@@ -340,36 +337,39 @@ class TestPool:
         assert "ValueError: injected point failure" in str(err.value)
 
     def test_cancel_releases_fill_locks(self, cache, monkeypatch):
-        """Cancelling a pool mid-point terminates the workers after the
-        join grace; each must release its per-key fill lock, so a resumed
-        job simulates the points instead of waiting out REPRO_LOCK_STALE
-        on dead locks."""
+        """A pool stopped mid-point terminates its workers after the join
+        grace; each must release its per-key fill lock, so a re-sweep
+        simulates the points instead of waiting out REPRO_LOCK_STALE on
+        dead locks.  The stop comes from the failure path: one point
+        raises while the other sleeps inside its simulation."""
         real_run = McmGpuSimulator.run
 
-        def slow_run(sim_self):
+        def fail_or_sleep(sim_self):
+            if sim_self.workloads[0].abbr == "fft":
+                # Raise only once the sleeper holds its lock too (2 locks).
+                deadline = time.monotonic() + 30
+                while len(list(cache.glob("*.lock"))) < 2:
+                    if time.monotonic() > deadline:
+                        break
+                    time.sleep(0.05)
+                raise ValueError("injected point failure")
             time.sleep(60)
             return real_run(sim_self)
 
         monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        monkeypatch.setenv("REPRO_LOCK_STALE", "600")
         monkeypatch.setattr(sweep_mod, "_JOIN_GRACE_S", 0.5)
-        monkeypatch.setattr(McmGpuSimulator, "run", slow_run)
-        points = [SweepPoint(configs.baseline(), app, SCALE)
-                  for app in ("gemv", "fft")]
-        job = SweepJob(points, jobs=2)
-        job.start()
-        deadline = time.monotonic() + 30
-        while len(list(cache.glob("*.lock"))) < 2:   # both points started
-            assert time.monotonic() < deadline, "workers never took a lock"
-            time.sleep(0.05)
-        job.cancel()
-        job.join(timeout=60)
-        assert job.snapshot()["state"] == "cancelled"
+        monkeypatch.setattr(McmGpuSimulator, "run", fail_or_sleep)
+        survivor = SweepPoint(configs.baseline(), "gemv", SCALE)
+        points = [survivor, SweepPoint(configs.baseline(), "fft", SCALE)]
+        with pytest.raises(RuntimeError, match="injected point failure"):
+            sweep(points, jobs=2, progress=False)
         assert not list(cache.glob("*.lock")), "a fill lock was left behind"
 
         monkeypatch.setattr(McmGpuSimulator, "run", real_run)
         start = time.monotonic()
-        outcome = job.run()
-        assert outcome is not None and outcome.stats.simulated == 2
+        outcome = sweep([survivor], jobs=1, progress=False)
+        assert outcome.stats.simulated == 1
         assert time.monotonic() - start < 60
 
 
@@ -505,19 +505,9 @@ class TestProgressEta:
         """Every point a cache hit in the first reporting interval: the
         ETA is an honest 0, never inf or a ZeroDivisionError."""
         reporter = _Progress(total=3, cached=3, enabled=True)
-        snap = reporter.snapshot(done=3, running=0)
-        assert snap["eta_seconds"] == 0.0
+        assert reporter.eta(done=3, running=0) == 0.0
         reporter.update(done=3, running=0)
         assert "ETA 0s" in capsys.readouterr().err
-
-    def test_all_cached_sweep_observer_sees_eta_zero(self, cache):
-        points = [SweepPoint(configs.baseline(), "gemv", SCALE)]
-        sweep(points, progress=False)
-        snaps: list[dict] = []
-        out = sweep(points, progress=False, observer=snaps.append)
-        assert out.stats.cached == 1 and out.stats.simulated == 0
-        assert snaps, "the final observer snapshot must still be emitted"
-        assert all(s["eta_seconds"] == 0.0 for s in snaps)
 
     def test_serial_sweep_emits_final_update(self, cache, capsys):
         sweep([SweepPoint(configs.baseline(), "gemv", SCALE)],
