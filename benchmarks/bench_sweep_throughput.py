@@ -50,6 +50,10 @@ DEFAULT_TOLERANCE = harness.DEFAULT_TOLERANCE
 _APPS = ("gemv", "fft", "atax", "bicg", "pr", "corr")
 _SCALE = 0.05
 
+#: Repetitions per round of the two millisecond-scale benches (~50 ms).
+WARM_REPEATS = 9
+PLAN_REPEATS = 2
+
 
 def _points() -> list[SweepPoint]:
     return [SweepPoint(scheme(), app, _SCALE)
@@ -93,26 +97,38 @@ def bench_cold_sweep_affinity() -> int:
 
 
 def bench_warm_sweep() -> int:
-    """The same sweep served entirely from a warm cache (hit path only)."""
+    """The same sweep served entirely from a warm cache (hit path only).
+
+    One sweep takes ~6 ms; ``WARM_REPEATS`` of them keep a round near
+    50 ms, so one scheduler hiccup does not decide a round.
+    """
     cache = _WARM_CACHE
+    served = 0
     with _env(REPRO_CACHE_DIR=cache, REPRO_NO_CACHE=None, REPRO_JOBS="4"):
-        outcome = sweep(_points(), progress=False)
-    assert outcome.stats.cached == len(_APPS) * 2
-    return outcome.stats.cached
+        for _ in range(WARM_REPEATS):
+            outcome = sweep(_points(), progress=False)
+            assert outcome.stats.cached == len(_APPS) * 2
+            served += outcome.stats.cached
+    return served
 
 
 def bench_plan_misses() -> int:
-    """The cost-model planner over a synthetic 512-point miss list."""
+    """The cost-model planner over a synthetic 512-point miss list.
+
+    Keying and planning 512 points takes ~35 ms; ``PLAN_REPEATS`` of them
+    make a round long enough to average out scheduler jitter.
+    """
     base = configs.baseline()
-    misses = []
-    for i in range(512):
-        point = SweepPoint(base, _APPS[i % len(_APPS)], _SCALE,
-                           workload_tag=f"bench{i}")
-        misses.append((point.key(), point))
-    with _env(REPRO_CACHE_DIR=_WARM_CACHE, REPRO_NO_CACHE=None):
-        plan = plan_misses(misses, workers=4)
-    assert len(plan) == 512
-    return 512
+    for _ in range(PLAN_REPEATS):
+        misses = []
+        for i in range(512):
+            point = SweepPoint(base, _APPS[i % len(_APPS)], _SCALE,
+                               workload_tag=f"bench{i}")
+            misses.append((point.key(), point))
+        with _env(REPRO_CACHE_DIR=_WARM_CACHE, REPRO_NO_CACHE=None):
+            plan = plan_misses(misses, workers=4)
+        assert len(plan) == 512
+    return 512 * PLAN_REPEATS
 
 
 def bench_trace_memo_hit() -> int:

@@ -6,9 +6,12 @@ sharer chiplets; :meth:`FrameAllocatorGroup.find_common_free` implements that
 search, and :meth:`find_common_free_run` the contiguous variant used by
 contiguity-aware group expansion (Section V-B).
 
-Searches scan upward from per-search-key hints so that allocating millions
-of frames stays amortized O(1) per frame; any release resets the hints
-(releases are rare — data frees and page migrations only).
+Each allocator keeps a byte map of its frames (1 = free), so searches are
+``bytearray.find`` scans in C: the lowest free frame is ``find(1)`` and a
+common free run leapfrogs ``find(b"\x01" * run)`` across the sharers' maps.
+Searches start from per-search-key hints, so allocating millions of frames
+stays amortized O(1) per frame; any release resets the hints (releases are
+rare — data frees and page migrations only).
 """
 
 from __future__ import annotations
@@ -19,61 +22,86 @@ from repro.common.errors import AllocationError
 
 
 class FrameAllocator:
-    """Free-set allocator for one chiplet's local frames."""
+    """Byte-map allocator for one chiplet's local frames (1 = free)."""
 
     def __init__(self, num_frames: int) -> None:
         if num_frames <= 0:
             raise AllocationError(f"need positive frame count, got {num_frames}")
         self.num_frames = num_frames
-        self._free: set[int] = set(range(num_frames))
+        self.free_map = bytearray(b"\x01") * num_frames
+        self._free_count = num_frames
         #: Lower bound on the lowest free frame (scan hint).
         self._hint = 0
 
     @property
     def free_count(self) -> int:
-        return len(self._free)
+        return self._free_count
 
     def is_free(self, local_pfn: int) -> bool:
-        return local_pfn in self._free
+        return 0 <= local_pfn < self.num_frames and self.free_map[local_pfn] == 1
 
     def allocate(self, local_pfn: int) -> int:
         """Claim a specific frame; raises if not free."""
-        if local_pfn not in self._free:
+        if not self.is_free(local_pfn):
             raise AllocationError(f"local PFN {local_pfn:#x} is not free")
-        self._free.discard(local_pfn)
+        self.free_map[local_pfn] = 0
+        self._free_count -= 1
         return local_pfn
 
     def allocate_any(self) -> int:
         """Claim the lowest-numbered free frame (default driver path)."""
-        if not self._free:
-            raise AllocationError("chiplet memory exhausted")
-        pfn = self._hint
-        while pfn not in self._free:
-            pfn += 1
-        self._free.discard(pfn)
-        self._hint = pfn + 1
-        return pfn
+        return self.allocate_many(1)[0]
+
+    def allocate_many(self, count: int) -> list[int]:
+        """Claim the ``count`` lowest free frames, ascending.
+
+        The same frames as ``count`` calls of :meth:`allocate_any`, claimed
+        one free run at a time; claims nothing if fewer are free.
+        """
+        if not 0 <= count <= self._free_count:
+            raise AllocationError(
+                f"chiplet memory exhausted: {count} frames asked, "
+                f"{self._free_count} free")
+        free_map = self.free_map
+        pfns: list[int] = []
+        start = self._hint
+        while len(pfns) < count:
+            start = free_map.find(1, start)
+            want = start + count - len(pfns)
+            end = free_map.find(0, start, want)
+            if end < 0:
+                end = want
+            pfns.extend(range(start, end))
+            free_map[start:end] = bytes(end - start)
+            start = end
+        self._free_count -= count
+        self._hint = start
+        return pfns
 
     def release(self, local_pfn: int) -> None:
-        if local_pfn in self._free:
-            raise AllocationError(f"double free of local PFN {local_pfn:#x}")
         if not 0 <= local_pfn < self.num_frames:
             raise AllocationError(f"local PFN {local_pfn:#x} out of range")
-        self._free.add(local_pfn)
+        if self.free_map[local_pfn]:
+            raise AllocationError(f"double free of local PFN {local_pfn:#x}")
+        self.free_map[local_pfn] = 1
+        self._free_count += 1
         self._hint = min(self._hint, local_pfn)
 
     def fragment(self, fraction: float, rng: np.random.Generator) -> list[int]:
         """Pre-claim a random ``fraction`` of frames to model fragmentation.
 
-        Returns the claimed frames so tests can release them again.
+        Draws from the ascending free list; returns the claimed frames so
+        tests can release them again.
         """
         if not 0.0 <= fraction < 1.0:
             raise AllocationError(f"fraction {fraction} out of [0, 1)")
-        count = int(len(self._free) * fraction)
-        victims = rng.choice(np.fromiter(self._free, dtype=np.int64),
-                             size=count, replace=False)
+        free = np.flatnonzero(np.frombuffer(self.free_map, dtype=np.uint8))
+        victims = rng.choice(free, size=int(len(free) * fraction),
+                             replace=False)
         claimed = [int(v) for v in victims]
-        self._free.difference_update(claimed)
+        for pfn in claimed:
+            self.free_map[pfn] = 0
+        self._free_count -= len(claimed)
         return claimed
 
 
@@ -99,28 +127,34 @@ class FrameAllocatorGroup:
 
     def _scan(self, sharers: tuple[int, ...], run_length: int,
               start_from: int) -> int | None:
+        """Leapfrog the sharers' free maps to their lowest common free run.
+
+        Each map jumps ``pfn`` to its own next free run at or above it; the
+        answer is the first ``pfn`` every map accepts in turn.
+        """
         if not sharers:
             raise AllocationError("common-free search needs at least one sharer")
         if run_length <= 0:
             raise AllocationError(f"run length must be positive, got {run_length}")
         key = (tuple(sorted(sharers)), run_length)
-        pfn = max(start_from, self._hints.get(key, 0))
-        allocs = [self.allocators[c] for c in sharers]
-        limit = self.frames_per_chiplet - run_length
-        while pfn <= limit:
-            span_ok = True
-            for offset in range(run_length):
-                if not all(a.is_free(pfn + offset) for a in allocs):
-                    span_ok = False
-                    pfn = pfn + offset + 1
-                    break
-            if span_ok:
-                if start_from <= self._hints.get(key, 0):
-                    self._hints[key] = pfn
-                return pfn
-        if start_from <= self._hints.get(key, 0):
-            self._hints[key] = self.frames_per_chiplet
-        return None
+        hint = self._hints.get(key, 0)
+        pfn: int | None = max(start_from, hint)
+        maps = [self.allocators[c].free_map for c in sharers]
+        run = b"\x01" * run_length
+        agreed = i = 0
+        while agreed < len(maps):
+            found = maps[i].find(run, pfn)
+            if found < 0:
+                pfn = None
+                break
+            if found == pfn:
+                agreed += 1
+            else:
+                pfn, agreed = found, 1
+            i = (i + 1) % len(maps)
+        if start_from <= hint:
+            self._hints[key] = self.frames_per_chiplet if pfn is None else pfn
+        return pfn
 
     def find_common_free(self, sharers: tuple[int, ...],
                          start_from: int = 0) -> int | None:

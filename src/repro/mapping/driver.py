@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.common.config import MemoryMap
@@ -26,7 +27,10 @@ from repro.memsim.pte import (
     MAX_CHIPLETS_EXTENDED,
     MAX_CHIPLETS_STANDARD,
     MAX_MERGED_GROUPS,
+    PFN_MASK,
+    PFN_SHIFT,
     PteFields,
+    encode_pte,
 )
 
 #: Gap between consecutive data objects in virtual space, so VPN arithmetic
@@ -80,6 +84,12 @@ class GpuDriver:
         if merge_max > MAX_MERGED_GROUPS:
             raise ConfigError(
                 f"at most {MAX_MERGED_GROUPS} merged groups fit in the PTE")
+        if num_chiplets * memory_map.frames_per_chiplet > PFN_MASK + 1:
+            raise ConfigError("global PFNs exceed the PTE's 40-bit PFN field")
+        self._bases = memory_map.chiplet_bases
+        #: Raw PTE per (coal_bitmap, inter, intra, merged) layout with PFN 0,
+        #: validated once through PteFields; see :meth:`_pte`.
+        self._pte_templates: dict[tuple[int, int, int, int], int] = {}
         #: IOMMU-side PEC buffer, filled as data is allocated (Section IV-G).
         self.pec_buffer = PecBuffer(pec_buffer_entries)
         self.data: dict[tuple[int, int], AllocatedData] = {}
@@ -118,10 +128,11 @@ class GpuDriver:
         record = AllocatedData(request=request, plan=plan, start_vpn=start_vpn,
                                end_vpn=end_vpn, descriptor=descriptor)
         if self.barre_enabled:
-            self._map_coalesced(record)
+            ptes = self._map_coalesced(record)
             self.pec_buffer.insert(descriptor)
         else:
-            self._map_individually(record)
+            ptes = self._map_individually(record)
+        self._page_table(request.pasid).map_many(ptes, self.extended_ptes)
         self.data[key] = record
         return record
 
@@ -166,37 +177,46 @@ class GpuDriver:
         if table.is_mapped(vpn):
             return []
         desc = record.descriptor
+        ptes: dict[int, int] = {}
         if desc is None:
             chiplet = record.plan.chiplet_of_offset(vpn - record.start_vpn)
-            local_pfn = self.allocators[chiplet].allocate_any()
-            table.map(vpn, PteFields(
-                present=True,
-                global_pfn=self.memory_map.base_of(chiplet) + local_pfn,
-                extended=self.extended_ptes))
+            ptes[vpn] = self._pte(chiplet,
+                                  self.allocators[chiplet].allocate_any())
             record.chiplet_by_vpn[vpn] = chiplet
             record.fallback_pages += 1
-            return [vpn]
-        rnd, _inter, intra = desc.position(vpn)
-        members = [(j, m) for j, m in self._group_members(desc, rnd, intra)
-                   if not table.is_mapped(m)]
-        before = dict(record.chiplet_by_vpn)
-        self._map_single_group(record, rnd, intra, members)
-        return [m for m in record.chiplet_by_vpn if m not in before]
+        else:
+            rnd, _inter, intra = desc.position(vpn)
+            members = [(j, m) for j, m in self._group_members(desc, rnd, intra)
+                       if not table.is_mapped(m)]
+            self._map_single_group(record, rnd, intra, members, ptes)
+        table.map_many(ptes, self.extended_ptes)
+        return list(ptes)
 
-    def _map_individually(self, record: AllocatedData) -> None:
+    def _pte(self, chiplet: int, local_pfn: int, coal_bitmap: int = 0,
+             inter: int = 0, intra: int = 0, merged: int = 1) -> int:
+        """Raw PTE of a frame: its layout's cached template ORed with the PFN."""
+        key = (coal_bitmap, inter, intra, merged)
+        template = self._pte_templates.get(key)
+        if template is None:
+            template = self._pte_templates[key] = encode_pte(PteFields(
+                present=True, global_pfn=0, coal_bitmap=coal_bitmap,
+                inter_gpu_coal_order=inter, intra_gpu_coal_order=intra,
+                merged_groups=merged, extended=self.extended_ptes))
+        return template | (self._bases[chiplet] + local_pfn) << PFN_SHIFT
+
+    def _map_individually(self, record: AllocatedData) -> dict[int, int]:
         """Default driver path: each page gets any free local frame."""
-        table = self._page_table(record.request.pasid)
-        for vpn in range(record.start_vpn, record.end_vpn + 1):
-            chiplet = record.plan.chiplet_of_offset(vpn - record.start_vpn)
-            local_pfn = self.allocators[chiplet].allocate_any()
-            table.map(vpn, PteFields(
-                present=True,
-                global_pfn=self.memory_map.base_of(chiplet) + local_pfn,
-                extended=self.extended_ptes))
-            record.chiplet_by_vpn[vpn] = chiplet
-            record.fallback_pages += 1
+        owners = [record.plan.chiplet_of_offset(offset)
+                  for offset in range(record.num_pages)]
+        frames = {chiplet: iter(self.allocators[chiplet].allocate_many(count))
+                  for chiplet, count in Counter(owners).items()}
+        ptes = {vpn: self._pte(chiplet, next(frames[chiplet]))
+                for vpn, chiplet in enumerate(owners, record.start_vpn)}
+        record.chiplet_by_vpn.update(zip(ptes, owners))
+        record.fallback_pages += len(owners)
+        return ptes
 
-    def _map_coalesced(self, record: AllocatedData) -> None:
+    def _map_coalesced(self, record: AllocatedData) -> dict[int, int]:
         """Barre enforcement: same local PFN across sharers per group."""
         desc = record.descriptor
         if desc is None:
@@ -205,6 +225,7 @@ class GpuDriver:
                 f"(pasid {record.request.pasid}) without a descriptor")
         gran = desc.interlv_gran
         rounds = -(-record.num_pages // desc.round_pages)
+        ptes: dict[int, int] = {}
         for rnd in range(rounds):
             intra = 0
             while intra < gran:
@@ -213,21 +234,23 @@ class GpuDriver:
                     break
                 run = self._mergeable_run(desc, record, rnd, intra)
                 if run > 1:
-                    self._map_merged_run(record, rnd, intra, run)
+                    self._map_merged_run(record, rnd, intra, run, ptes)
                     intra += run
                     continue
-                self._map_single_group(record, rnd, intra, members)
+                self._map_single_group(record, rnd, intra, members, ptes)
                 intra += 1
+        return ptes
 
     def _group_members(self, desc: DataDescriptor, rnd: int,
                        intra: int) -> list[tuple[int, int]]:
-        """Existing (inter_order, vpn) pairs of group (rnd, intra)."""
-        members = []
-        for j in range(desc.num_sharers):
-            vpn = desc.vpn_at(rnd, j, intra)
-            if desc.contains(vpn):
-                members.append((j, vpn))
-        return members
+        """Existing (inter_order, vpn) pairs of group (rnd, intra).
+
+        Member ``j`` sits at ``vpn_at(rnd, j, intra)``, one interleave
+        chunk after member ``j - 1``; the group ends at the data's end.
+        """
+        vpns = range(desc.vpn_at(rnd, 0, intra), desc.end_vpn + 1,
+                     desc.interlv_gran)
+        return list(enumerate(vpns[:desc.num_sharers]))
 
     def _mergeable_run(self, desc: DataDescriptor, record: AllocatedData,
                        rnd: int, intra: int) -> int:
@@ -252,7 +275,7 @@ class GpuDriver:
         return 1
 
     def _map_merged_run(self, record: AllocatedData, rnd: int, intra: int,
-                        run: int) -> None:
+                        run: int, ptes: dict[int, int]) -> None:
         desc = record.descriptor
         if desc is None:
             raise InvariantViolation(
@@ -267,32 +290,25 @@ class GpuDriver:
                 f"common-free run of {run} on chiplets {sharers} vanished "
                 f"between probe and allocation (data "
                 f"{record.request.data_id}, round {rnd}, intra {intra})")
-        table = self._page_table(record.request.pasid)
         bitmap = self._bitmap_for(desc, sharers)
         for offset in range(run):
             self.allocators.allocate_common(sharers, base_pfn + offset)
         for j, chiplet in enumerate(desc.gpu_map):
+            first = desc.vpn_at(rnd, j, intra)
             for i in range(run):
-                vpn = desc.vpn_at(rnd, j, intra + i)
-                table.map(vpn, PteFields(
-                    present=True,
-                    global_pfn=self.memory_map.base_of(chiplet) + base_pfn + i,
-                    coal_bitmap=bitmap,
-                    inter_gpu_coal_order=j,
-                    intra_gpu_coal_order=i,
-                    merged_groups=run,
-                    extended=True))
-                record.chiplet_by_vpn[vpn] = chiplet
-                record.coalesced_pages += 1
+                ptes[first + i] = self._pte(chiplet, base_pfn + i, bitmap,
+                                            j, i, run)
+                record.chiplet_by_vpn[first + i] = chiplet
+        record.coalesced_pages += run * len(desc.gpu_map)
 
     def _map_single_group(self, record: AllocatedData, rnd: int, intra: int,
-                          members: list[tuple[int, int]]) -> None:
+                          members: list[tuple[int, int]],
+                          ptes: dict[int, int]) -> None:
         desc = record.descriptor
         if desc is None:
             raise InvariantViolation(
                 f"group mapping of data {record.request.data_id} "
                 f"(pasid {record.request.pasid}) without a descriptor")
-        table = self._page_table(record.request.pasid)
         sharers = tuple(desc.gpu_map[j] for j, _vpn in members)
         local_pfn = (self.allocators.find_common_free(sharers)
                      if len(members) > 1 else None)
@@ -300,26 +316,19 @@ class GpuDriver:
             # Fallback: map the members individually (Section IV-G).
             for j, vpn in members:
                 chiplet = desc.gpu_map[j]
-                pfn = self.allocators[chiplet].allocate_any()
-                table.map(vpn, PteFields(
-                    present=True,
-                    global_pfn=self.memory_map.base_of(chiplet) + pfn,
-                    extended=self.extended_ptes))
+                ptes[vpn] = self._pte(chiplet,
+                                      self.allocators[chiplet].allocate_any())
                 record.chiplet_by_vpn[vpn] = chiplet
-                record.fallback_pages += 1
+            record.fallback_pages += len(members)
             return
         self.allocators.allocate_common(sharers, local_pfn)
         bitmap = self._bitmap_for(desc, sharers)
         for j, vpn in members:
             chiplet = desc.gpu_map[j]
-            table.map(vpn, PteFields(
-                present=True,
-                global_pfn=self.memory_map.base_of(chiplet) + local_pfn,
-                coal_bitmap=bitmap,
-                inter_gpu_coal_order=min(j, 7) if self.compact_bitmap else j,
-                extended=self.extended_ptes))
+            ptes[vpn] = self._pte(chiplet, local_pfn, bitmap,
+                                  min(j, 7) if self.compact_bitmap else j)
             record.chiplet_by_vpn[vpn] = chiplet
-            record.coalesced_pages += 1
+        record.coalesced_pages += len(members)
 
     def _bitmap_for(self, desc: DataDescriptor,
                     sharers: tuple[int, ...]) -> int:
@@ -441,9 +450,6 @@ class GpuDriver:
         new_local = self.allocators[dest].allocate_any()
         self.allocators[old_chiplet].release(old_local)
         self.allocators.reset_hints()
-        table.map(vpn, PteFields(
-            present=True,
-            global_pfn=self.memory_map.base_of(dest) + new_local,
-            extended=self.extended_ptes))
+        table.map_many({vpn: self._pte(dest, new_local)}, self.extended_ptes)
         record.chiplet_by_vpn[vpn] = dest
         return affected

@@ -1,7 +1,7 @@
 """Memory-system substrate: PTEs, page tables, TLBs, links."""
 
 from repro.memsim.links import DuplexLink, Link, Mesh
-from repro.memsim.page_table import AddressSpaceRegistry, PageTable, level_index
+from repro.memsim.page_table import AddressSpaceRegistry, PageTable
 from repro.memsim.pte import (
     MAX_CHIPLETS_EXTENDED,
     MAX_CHIPLETS_STANDARD,
@@ -29,5 +29,4 @@ __all__ = [
     "coalescing_info_bits",
     "decode_pte",
     "encode_pte",
-    "level_index",
 ]

@@ -1,77 +1,60 @@
-"""Four-level radix page table, walked structurally by the IOMMU's PTWs.
+"""Per-process page tables: a flat VPN -> raw 64-bit PTE map.
 
-The walker traverses real intermediate levels (so tests can observe the
-structure), while the *timing* of a walk is the paper's fixed 500-cycle cost
-charged by the IOMMU (Table II) — the same simplification the paper makes.
+The IOMMU's PTWs charge the paper's fixed 500-cycle walk latency (Table II)
+— the same simplification the paper makes — so walk *timing* never depends
+on the table's shape, and one dict lookup stands in for the radix levels.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.common.addresses import VPN_BITS, check_vpn
+from repro.common.addresses import check_vpn
 from repro.common.errors import TranslationError
 from repro.memsim.pte import PteFields, decode_pte, encode_pte
 
-#: Radix bits per level; 4 levels x 10 bits cover the 40-bit VPN space.
-LEVEL_BITS = 10
-NUM_LEVELS = 4
-assert LEVEL_BITS * NUM_LEVELS == VPN_BITS
-
-
-def level_index(vpn: int, level: int) -> int:
-    """Index into the ``level``-th table (level 0 = root)."""
-    shift = LEVEL_BITS * (NUM_LEVELS - 1 - level)
-    return (vpn >> shift) & ((1 << LEVEL_BITS) - 1)
-
 
 class PageTable:
-    """One process's radix page table mapping VPN -> raw 64-bit PTE."""
+    """One process's page table mapping VPN -> raw 64-bit PTE."""
 
     def __init__(self, pasid: int = 0, extended_ptes: bool = False) -> None:
         self.pasid = pasid
         self.extended_ptes = extended_ptes
-        self._root: dict = {}
-        self._mapped = 0
+        self._ptes: dict[int, int] = {}
 
     def __len__(self) -> int:
-        return self._mapped
+        return len(self._ptes)
+
+    def _check_layout(self, extended: bool) -> None:
+        if extended != self.extended_ptes:
+            raise TranslationError(
+                f"PTE layout mismatch: table extended={self.extended_ptes}, "
+                f"fields extended={extended}")
 
     def map(self, vpn: int, fields: PteFields) -> None:
         """Install a leaf PTE for ``vpn`` (overwrites an existing mapping)."""
         check_vpn(vpn)
-        if fields.extended != self.extended_ptes:
-            raise TranslationError(
-                f"PTE layout mismatch: table extended={self.extended_ptes}, "
-                f"fields extended={fields.extended}")
-        node = self._root
-        for level in range(NUM_LEVELS - 1):
-            node = node.setdefault(level_index(vpn, level), {})
-        leaf_index = level_index(vpn, NUM_LEVELS - 1)
-        if leaf_index not in node:
-            self._mapped += 1
-        node[leaf_index] = encode_pte(fields)
+        self._check_layout(fields.extended)
+        self._ptes[vpn] = encode_pte(fields)
+
+    def map_many(self, ptes: dict[int, int], extended: bool) -> None:
+        """Install pre-encoded PTEs of the ``extended`` layout in one batch.
+
+        Checks the layout and every VPN's bounds before writing anything.
+        """
+        self._check_layout(extended)
+        if ptes:
+            check_vpn(min(ptes))
+            check_vpn(max(ptes))
+        self._ptes.update(ptes)
 
     def unmap(self, vpn: int) -> None:
         """Remove the mapping for ``vpn``; raises if not mapped."""
-        node = self._walk_to_leaf_table(vpn)
-        leaf_index = level_index(vpn, NUM_LEVELS - 1)
-        if node is None or leaf_index not in node:
+        if self._ptes.pop(vpn, None) is None:
             raise TranslationError(f"unmap of unmapped VPN {vpn:#x}")
-        del node[leaf_index]
-        self._mapped -= 1
-
-    def _walk_to_leaf_table(self, vpn: int) -> dict | None:
-        node = self._root
-        for level in range(NUM_LEVELS - 1):
-            node = node.get(level_index(vpn, level))
-            if node is None:
-                return None
-        return node
 
     def is_mapped(self, vpn: int) -> bool:
-        node = self._walk_to_leaf_table(vpn)
-        return node is not None and level_index(vpn, NUM_LEVELS - 1) in node
+        return vpn in self._ptes
 
     def walk(self, vpn: int) -> PteFields:
         """Translate ``vpn``; raises :class:`TranslationError` if unmapped.
@@ -80,36 +63,26 @@ class PageTable:
         an unmapped VPN here indicates a bug, not a demand fault.
         """
         check_vpn(vpn)
-        node = self._walk_to_leaf_table(vpn)
-        leaf_index = level_index(vpn, NUM_LEVELS - 1)
-        if node is None or leaf_index not in node:
+        raw = self._ptes.get(vpn)
+        if raw is None:
             raise TranslationError(
                 f"page table walk on unmapped VPN {vpn:#x} (pasid {self.pasid})")
-        fields = decode_pte(node[leaf_index], extended=self.extended_ptes)
+        fields = decode_pte(raw, extended=self.extended_ptes)
         if not fields.present:
             raise TranslationError(f"PTE for VPN {vpn:#x} not present")
         return fields
 
     def raw_pte(self, vpn: int) -> int:
         """The stored 64-bit PTE integer (for encoding-level tests)."""
-        node = self._walk_to_leaf_table(vpn)
-        leaf_index = level_index(vpn, NUM_LEVELS - 1)
-        if node is None or leaf_index not in node:
+        raw = self._ptes.get(vpn)
+        if raw is None:
             raise TranslationError(f"no PTE for VPN {vpn:#x}")
-        return node[leaf_index]
+        return raw
 
     def mappings(self) -> Iterator[tuple[int, PteFields]]:
         """Iterate (vpn, fields) over all leaf mappings, ascending VPN."""
-
-        def recurse(node: dict, level: int, prefix: int) -> Iterator[tuple[int, PteFields]]:
-            for index in sorted(node):
-                vpn_part = (prefix << LEVEL_BITS) | index
-                if level == NUM_LEVELS - 1:
-                    yield vpn_part, decode_pte(node[index], extended=self.extended_ptes)
-                else:
-                    yield from recurse(node[index], level + 1, vpn_part)
-
-        yield from recurse(self._root, 0, 0)
+        for vpn in sorted(self._ptes):
+            yield vpn, decode_pte(self._ptes[vpn], extended=self.extended_ptes)
 
 
 class AddressSpaceRegistry:

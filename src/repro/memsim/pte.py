@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from repro.common.errors import AddressError
 
 _PRESENT_BIT = 1 << 0
-_PFN_SHIFT = 12
-_PFN_MASK = (1 << 40) - 1
+PFN_SHIFT = 12
+PFN_MASK = (1 << 40) - 1
 
 _SOFT_SHIFT = 52          # first unused bit in an x86-64 PTE
 _SOFT_MASK = (1 << 11) - 1
@@ -62,7 +62,7 @@ class PteFields:
     extended: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 <= self.global_pfn <= _PFN_MASK:
+        if not 0 <= self.global_pfn <= PFN_MASK:
             raise AddressError(f"global PFN {self.global_pfn:#x} exceeds 40 bits")
         max_chiplets = MAX_CHIPLETS_EXTENDED if self.extended else MAX_CHIPLETS_STANDARD
         if not 0 <= self.coal_bitmap < (1 << max_chiplets):
@@ -117,7 +117,7 @@ def encode_pte(fields: PteFields) -> int:
     raw = 0
     if fields.present:
         raw |= _PRESENT_BIT
-    raw |= (fields.global_pfn & _PFN_MASK) << _PFN_SHIFT
+    raw |= (fields.global_pfn & PFN_MASK) << PFN_SHIFT
     if fields.extended:
         soft = fields.coal_bitmap
         soft |= fields.inter_gpu_coal_order << _EXT_BITMAP_BITS
@@ -134,7 +134,7 @@ def encode_pte(fields: PteFields) -> int:
 def decode_pte(raw: int, extended: bool = False) -> PteFields:
     """Unpack a 64-bit PTE; ``extended`` selects the Fig 13 layout."""
     present = bool(raw & _PRESENT_BIT)
-    global_pfn = (raw >> _PFN_SHIFT) & _PFN_MASK
+    global_pfn = (raw >> PFN_SHIFT) & PFN_MASK
     soft = (raw >> _SOFT_SHIFT) & _SOFT_MASK
     if extended:
         bitmap = soft & ((1 << _EXT_BITMAP_BITS) - 1)

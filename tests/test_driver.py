@@ -194,6 +194,18 @@ def test_extended_layout_limits_chiplets():
         make_driver(num_chiplets=8, merge=2)
 
 
+def test_global_pfns_must_fit_the_pte():
+    """2**40 global frames fill the PTE's PFN field; one more cannot fit."""
+    def driver_for(frames_per_chiplet):
+        return GpuDriver(MemoryMap(num_chiplets=4,
+                                   frames_per_chiplet=frames_per_chiplet),
+                         FrameAllocatorGroup(4, 8), AddressSpaceRegistry(),
+                         make_policy(MappingKind.LASP, 4))
+    driver_for(1 << 38)
+    with pytest.raises(ConfigError, match="40-bit"):
+        driver_for((1 << 38) + 1)
+
+
 class TestMigration:
     def test_migrated_page_leaves_group(self):
         driver, _alloc, spaces, mm = make_driver()
@@ -371,3 +383,70 @@ class TestTypedExceptions:
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.strip() == "OK"
+
+
+def _driver_state_digest(driver) -> str:
+    """sha256 over the state ``allocate_workloads`` leaves in a driver.
+
+    Covers every PTE as sorted (pasid, vpn, raw), each chiplet's free
+    count, and every record's ``chiplet_by_vpn`` in insertion order.
+    """
+    import hashlib
+    h = hashlib.sha256()
+    ptes = sorted((table.pasid, vpn, table.raw_pte(vpn))
+                  for table in driver.spaces for vpn, _f in table.mappings())
+    h.update(repr(ptes).encode())
+    h.update(repr([a.free_count for a in driver.allocators.allocators]).encode())
+    for key, record in driver.data.items():
+        h.update(repr((key, list(record.chiplet_by_vpn.items()))).encode())
+    return h.hexdigest()
+
+
+def _pin_cases():
+    import dataclasses
+    from repro.common.addresses import PAGE_SIZE_64K
+    from repro.experiments import configs
+    from repro.workloads import get_workload
+    pair = [get_workload("gemv"),
+            dataclasses.replace(get_workload("spmv"), pasid=1)]
+    return {
+        "baseline-lasp": (configs.baseline(), pair),
+        "barre": (configs.barre(), pair),
+        "fbarre-merge2": (configs.fbarre(merge=2), pair),
+        "fbarre-merge4": (configs.fbarre(merge=4), pair),
+        "barre-16-chiplets": (configs.barre(num_chiplets=16), pair),
+        "fbarre-chunking": (configs.fbarre(mapping=MappingKind.CHUNKING), pair),
+        "fbarre-spmv-x16-64k": (
+            configs.fbarre(page_size=PAGE_SIZE_64K, frames_per_chiplet=1 << 18),
+            [get_workload("spmv").scaled(16)]),
+    }
+
+
+#: Digests of the driver state after ``allocate_workloads``; a change to
+#: how pages are mapped (frame choice, PTE bits, ownership order) moves them.
+PINNED_DRIVER_STATE = {
+    "baseline-lasp":
+        "d605225f3ddb2204f97f90a4bc821cfeb0da10e43436772665e00c66c922d8fc",
+    "barre":
+        "2a5874bf0bff6ad037d9502621fbfeb4390adb3bafd5abb5bcda51ad5a2beba3",
+    "fbarre-merge2":
+        "1e481f9ab677235cfd710768d43fbcc9891ea6debfd6800c3eb0a9170ca16137",
+    "fbarre-merge4":
+        "708ba3affbd4678a724c8e296132bedd403f04666c160106a44b8037293f6a85",
+    "barre-16-chiplets":
+        "ce8bd5eac63b4c54244d58aad7537657ff72a73a515fd33a2ef7a331b7aed858",
+    "fbarre-chunking":
+        "4c3b11ca7cca444fa11515b67b68e4cb7abcf4afe90400c82c541e77070d6886",
+    "fbarre-spmv-x16-64k":
+        "153ee7d0463b628656e9b69c9ff82bc52a3483e518874df86a0ea8832a1dd2a0",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DRIVER_STATE))
+def test_built_driver_state_is_pinned(case):
+    from repro.common.addresses import PAGE_SIZE_4K
+    from repro.gpu.mcm import allocate_workloads, build_driver
+    config, workloads = _pin_cases()[case]
+    driver = build_driver(config)
+    allocate_workloads(driver, workloads, config.page_size // PAGE_SIZE_4K)
+    assert _driver_state_digest(driver) == PINNED_DRIVER_STATE[case]

@@ -1,11 +1,11 @@
-"""Radix page table tests."""
+"""Page table tests: the flat VPN -> PTE map and its bulk write."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common import TranslationError
-from repro.memsim import AddressSpaceRegistry, PageTable, PteFields, level_index
+from repro.common import AddressError, TranslationError
+from repro.memsim import AddressSpaceRegistry, PageTable, PteFields, encode_pte
 
 
 def make_fields(pfn: int) -> PteFields:
@@ -42,15 +42,6 @@ def test_remap_overwrites_without_growing():
     pt.map(7, make_fields(2))
     assert len(pt) == 1
     assert pt.walk(7).global_pfn == 2
-
-
-def test_level_index_covers_vpn():
-    vpn = 0b1111111111_0000000001_1010101010_0101010101
-    parts = [level_index(vpn, lvl) for lvl in range(4)]
-    rebuilt = 0
-    for p in parts:
-        rebuilt = (rebuilt << 10) | p
-    assert rebuilt == vpn
 
 
 def test_mappings_iterates_in_vpn_order():
@@ -96,3 +87,50 @@ def test_property_walk_returns_what_was_mapped(mapping):
     for vpn, pfn in mapping.items():
         assert pt.walk(vpn).global_pfn == pfn
     assert len(pt) == len(mapping)
+
+
+_fields = st.builds(
+    PteFields, present=st.just(True),
+    global_pfn=st.integers(min_value=0, max_value=(1 << 40) - 1),
+    coal_bitmap=st.integers(min_value=0, max_value=15),
+    inter_gpu_coal_order=st.integers(min_value=0, max_value=3),
+    intra_gpu_coal_order=st.integers(min_value=0, max_value=3),
+    merged_groups=st.integers(min_value=1, max_value=4),
+    extended=st.just(True))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.dictionaries(st.integers(min_value=0, max_value=(1 << 40) - 1),
+                       _fields, max_size=50))
+def test_property_bulk_write_matches_per_page_map(mapping):
+    one_by_one = PageTable(extended_ptes=True)
+    for vpn, fields in mapping.items():
+        one_by_one.map(vpn, fields)
+    bulk = PageTable(extended_ptes=True)
+    bulk.map_many({vpn: encode_pte(f) for vpn, f in mapping.items()},
+                  extended=True)
+    assert len(bulk) == len(one_by_one) == len(mapping)
+    for vpn in mapping:
+        assert bulk.raw_pte(vpn) == one_by_one.raw_pte(vpn)
+    assert list(bulk.mappings()) == list(one_by_one.mappings())
+
+
+@pytest.mark.parametrize("bad_vpn", [-1, 1 << 40])
+def test_bulk_write_rejects_bad_vpn_like_map(bad_vpn):
+    pt = PageTable()
+    raw = encode_pte(make_fields(1))
+    with pytest.raises(AddressError):
+        pt.map(bad_vpn, make_fields(1))
+    with pytest.raises(AddressError):
+        pt.map_many({5: raw, bad_vpn: raw}, extended=False)
+    assert len(pt) == 0  # checked before anything is written
+
+
+def test_bulk_write_rejects_layout_mismatch_like_map():
+    pt = PageTable(extended_ptes=True)
+    raw = encode_pte(make_fields(1))
+    with pytest.raises(TranslationError, match="layout mismatch"):
+        pt.map(1, make_fields(1))
+    with pytest.raises(TranslationError, match="layout mismatch"):
+        pt.map_many({1: raw}, extended=False)
+    assert len(pt) == 0

@@ -46,6 +46,22 @@ class TestDriverLazyPath:
         for vpn in mapped:
             assert table.walk(vpn).is_coalesced
 
+    def test_each_fault_returns_only_its_group_in_member_order(self):
+        """Later faults report their own group, not pages mapped earlier."""
+        driver, spaces = make_driver(barre=True)
+        rec = driver.malloc_lazy(AllocationRequest(data_id=1, pages=16,
+                                                   row_pages=2))
+        seen = []
+        for vpn in range(rec.start_vpn, rec.end_vpn + 1):
+            mapped = driver.fault_in(0, vpn)
+            if mapped:
+                rnd, _inter, intra = rec.descriptor.position(vpn)
+                assert mapped == [rec.descriptor.vpn_at(rnd, j, intra)
+                                  for j in range(4)]
+            seen += mapped
+        assert sorted(seen) == list(range(rec.start_vpn, rec.end_vpn + 1))
+        assert len(spaces.get(0)) == 16
+
     def test_fault_in_is_idempotent(self):
         driver, _spaces = make_driver()
         rec = driver.malloc_lazy(AllocationRequest(data_id=1, pages=4))
