@@ -7,10 +7,14 @@ is run ``ROUNDS`` times and reports the **median**, so one scheduler hiccup
 cannot fail a gate.
 
 Because absolute seconds are machine-bound, every result also carries a
-``normalized`` value: the benchmark's median divided by the time of a
-fixed pure-Python calibration loop measured in the same process.  The
-perf gate compares *normalized* values, which transfers reasonably across
-CI runner generations (both numerator and denominator scale with the
+``normalized`` value.  A calibration burst — a fixed pure-Python loop —
+is timed just before and just after every round, and the value is the
+median over rounds of the round's time divided by the mean of its two
+bursts.  A host that slows down mid-run (a neighbour on a shared
+machine) slows the bursts around the affected rounds with it, so the
+ratio follows the host's speed where one up-front calibration could
+not.  The perf gate compares *normalized* values, which also transfer
+across CI runner generations (numerator and denominator scale with the
 interpreter + machine speed).
 
 Usage:
@@ -45,6 +49,8 @@ from repro.memsim.tlb import MshrFile, Tlb, TlbEntry
 
 ROUNDS = 3
 DEFAULT_TOLERANCE = 0.25
+#: Iterations of one calibration burst (60-95 ms on a shared 2-vCPU VM).
+CALIB_ITERS = 400_000
 
 
 # --------------------------------------------------------------------------
@@ -192,47 +198,43 @@ BENCHES = {
 # Harness
 # --------------------------------------------------------------------------
 
-def _calibrate() -> float:
-    """Fixed pure-Python loop; the normalization denominator."""
-    def spin() -> int:
-        x, acc = 0x9E3779B9, 0
-        for _ in range(400_000):
-            x = (x * 1_103_515_245 + 12_345) & 0xFFFFFFFF
-            acc ^= x
-        return acc
-
-    best = float("inf")
-    for _ in range(ROUNDS):
-        t0 = time.perf_counter()
-        spin()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _burst() -> float:
+    """Seconds one calibration burst takes now: the host's current speed."""
+    x, acc = 0x9E3779B9, 0
+    t0 = time.perf_counter()
+    for _ in range(CALIB_ITERS):
+        x = (x * 1_103_515_245 + 12_345) & 0xFFFFFFFF
+        acc ^= x
+    return time.perf_counter() - t0
 
 
 def run_benches() -> dict:
-    calibration = _calibrate()
     results: dict[str, dict] = {}
+    bursts = [_burst()]
     for name, fn in BENCHES.items():
-        times = []
+        times, ratios = [], []
         ops = 0
         for _ in range(ROUNDS):
             t0 = time.perf_counter()
             ops = fn()
             times.append(time.perf_counter() - t0)
+            # The burst after one round is the burst before the next.
+            bursts.append(_burst())
+            ratios.append(times[-1] / statistics.mean(bursts[-2:]))
         median = statistics.median(times)
         results[name] = {
             "seconds": round(median, 6),
             "ops": ops,
             "ns_per_op": round(median / ops * 1e9, 1),
-            "normalized": round(median / calibration, 4),
+            "normalized": round(statistics.median(ratios), 4),
         }
-    return {"calibration_s": round(calibration, 6), "rounds": ROUNDS,
-            "benches": results}
+    return {"calibration_s": round(statistics.median(bursts), 6),
+            "rounds": ROUNDS, "benches": results}
 
 
 def format_table(payload: dict) -> str:
-    lines = [f"calibration {payload['calibration_s'] * 1e3:.1f} ms, "
-             f"median of {payload['rounds']}",
+    lines = [f"calibration burst {payload['calibration_s'] * 1e3:.1f} ms "
+             f"(median), median of {payload['rounds']} rounds",
              f"{'benchmark':<24} {'median':>10} {'ns/op':>9} {'normalized':>11}"]
     for name, r in payload["benches"].items():
         lines.append(f"{name:<24} {r['seconds'] * 1e3:>8.1f}ms "

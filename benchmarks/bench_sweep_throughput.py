@@ -6,8 +6,8 @@ through the worker pool (affinity routing + trace memo + thin wire +
 cost-model packing), the same sweep warm (pure cache-hit service), the cost-model
 planner itself, and the CTA-trace memo against a from-scratch rebuild.
 
-Same scheme as the hotpath suite — median of ``ROUNDS``, normalized by the
-shared calibration loop, gated in CI against the committed
+Same scheme as the hotpath suite — median of ``ROUNDS`` round/calibration
+ratios, with a calibration burst just before and after every round, gated in CI against the committed
 ``baseline_sweep.json`` at the same default tolerance.  Cold-sweep rounds
 each run against a fresh temporary cache directory so every round pays the
 full miss path; the sweep's own worker pool is exercised at

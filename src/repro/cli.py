@@ -30,18 +30,9 @@ from repro.experiments import (
 )
 from repro.experiments.registry import FIGURES, figure_points, run_figure
 from repro.experiments.runner import run_point, speedups, suite_results
+from repro.experiments.configs import SCHEMES
 from repro.experiments.sweep import SweepPoint, sweep
 from repro.workloads.suite import APP_ORDER, CATEGORY_OF
-
-SCHEMES = {
-    "baseline": configs.baseline,
-    "shared-l2": configs.shared_l2,
-    "valkyrie": configs.valkyrie,
-    "least": configs.least,
-    "barre": configs.barre,
-    "fbarre": configs.fbarre,
-    "mgvm": configs.mgvm,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,9 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--dry-run", action="store_true",
                            help="plan only: count cached vs missing points "
                                 "and print the cost-model schedule")
-    sweep_cmd.add_argument("--events", default=None, metavar="PATH",
-                           help="append the run's structured events "
-                                "(JSONL) to PATH")
 
     trace = sub.add_parser(
         "trace", help="trace one point's translation path and export spans")
@@ -229,16 +217,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise SystemExit(
             "nothing to sweep; pass --schemes/--apps, --figures, "
             "or --warm-cache")
-    events = None
-    if args.events:
-        from repro.obs.eventlog import RunEventLog
-        events = RunEventLog(args.events)
-    try:
-        outcome = sweep(points, jobs=args.jobs, dry_run=args.dry_run,
-                        events=events)
-    finally:
-        if events is not None:
-            events.close()
+    outcome = sweep(points, jobs=args.jobs, dry_run=args.dry_run)
     print(f"[sweep] {outcome.stats.describe(dry_run=args.dry_run)}")
     if args.dry_run and outcome.plan:
         print("[sweep] cost-model schedule (per-worker queues, "

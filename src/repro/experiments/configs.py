@@ -100,3 +100,15 @@ def with_l2_mshrs(cfg: SimConfig, mshrs: int) -> SimConfig:
 
 def with_cuckoo_rows(cfg: SimConfig, rows: int) -> SimConfig:
     return cfg.replace(cuckoo=dataclasses.replace(cfg.cuckoo, rows=rows))
+
+
+#: The named schemes the CLI accepts, by name.
+SCHEMES = {
+    "baseline": baseline,
+    "shared-l2": shared_l2,
+    "valkyrie": valkyrie,
+    "least": least,
+    "barre": barre,
+    "fbarre": fbarre,
+    "mgvm": mgvm,
+}

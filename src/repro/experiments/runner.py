@@ -9,11 +9,14 @@ stamp — so a full benchmark sweep pays for each distinct point once.
 The cache is safe under concurrent fill (the parallel sweep engine in
 :mod:`repro.experiments.sweep` fans points out over worker processes):
 
-* results are written to a temp file and atomically renamed into place, so
-  a reader never sees a torn JSON payload;
+* results are written to a temp file, fsynced and atomically renamed into
+  place, so a reader never sees a torn JSON payload;
 * a per-key lockfile (``O_CREAT | O_EXCL``) makes sure two workers that
   race on the same point simulate it once — the loser waits and reads the
-  winner's result.
+  winner's result;
+* a file that does not decode anyway (a crash on a filesystem without
+  ordered writes) is a miss: the next filler moves it to ``*.corrupt`` and
+  simulates the point again.
 
 Environment knobs (see docs/performance.md for the operations guide):
 
@@ -61,19 +64,16 @@ _UNWRITABLE: set[str] = set()
 _LOCK_POLL_INITIAL_S = 0.002
 _LOCK_POLL_MAX_S = 0.25
 
-#: Sidecar (under the cache root) of measured per-point wall-times, which
-#: the sweep scheduler reads to submit misses longest-first.
-_TIMINGS_SIDECAR = Path("meta") / "timings.json"
-
-#: Key-manifest sidecar directory: one small JSON file per cached point
+#: Key-manifest directory: one small JSON file per cached point
 #: (``meta/keys/<digest>.json``) recording the key's *components* —
-#: sim version, app, scale, tag, canonical config JSON.  The cache
-#: filename only carries a one-way digest, so this is what lets the
-#: experiment explorer (:mod:`repro.obs`) decode a cache entry back into
-#: (app, scheme, scale, SIM_VERSION) without re-deriving every possible
-#: key.  One file per digest (atomic rename) — concurrent fills of
-#: different points never contend, and re-fills are idempotent.
-#: Payload bytes are untouched, so golden cache digests are unchanged.
+#: sim version, app, scale, tag, canonical config JSON — and the host
+#: seconds the fill's simulation took.  The cache filename only carries a
+#: one-way digest, so this is what lets the experiment explorer
+#: (:mod:`repro.obs`) decode a cache entry back into (app, scheme, scale,
+#: SIM_VERSION), and the sweep's cost model plan misses longest-first.
+#: One file per digest (atomic rename), written by the filling process —
+#: concurrent fills of different points never contend.  Payload bytes are
+#: untouched, so golden cache digests are unchanged.
 _KEYS_SIDECAR = Path("meta") / "keys"
 
 
@@ -191,61 +191,93 @@ def _load(path: Path) -> SimResult:
     return _deserialize(json.loads(path.read_text()))
 
 
-def _atomic_write(path: Path, result: SimResult) -> None:
-    """Write-to-temp + rename: a concurrent reader never sees a torn file."""
+def _try_load(path: Path) -> SimResult | None:
+    """The result at ``path``, or None when it is absent or does not decode."""
+    if not path.exists():
+        return None
+    try:
+        return _load(path)
+    except (OSError, ValueError):
+        return None     # vanished underneath us, or a torn payload
+
+
+def _write_json(path: Path, obj) -> None:
+    """Publish ``json.dumps(obj)`` at ``path``: temp file, fsync, rename.
+
+    A concurrent reader never sees a torn file, and a power loss cannot
+    leave the renamed file without its bytes.
+    """
     tmp = path.with_suffix(f".{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(_serialize(result)))
+    with open(tmp, "w") as fh:
+        fh.write(json.dumps(obj))
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
-def key_manifest_path(digest: str) -> Path | None:
-    """Where a point digest's key manifest lives (None when caching is off)."""
-    root = _cache_dir()
-    if root is None:
-        return None
-    return root / _KEYS_SIDECAR / f"{digest}.json"
+def _atomic_write(path: Path, result: SimResult) -> None:
+    _write_json(path, _serialize(result))
 
 
 def _write_key_manifest(path: Path, config: SimConfig, abbr: str,
-                        scale: float, tag: str) -> None:
-    """Record a fill's key components next to the cache (best-effort).
+                        scale: float, tag: str,
+                        seconds: float | None = None) -> None:
+    """Record a fill's key components (and its host seconds) next to the
+    cache, best-effort.
 
     Called only when a result was actually published, so hit paths pay
-    nothing.  Atomic per-digest files, no merge step — concurrent sweeps
-    cannot lose each other's entries the way a read-merge-replace
-    sidecar could.
+    nothing.
     """
     digest = path.stem.rsplit("-", 1)[-1]
-    manifest = key_manifest_path(digest)
-    if manifest is None:
-        return
-    payload = {"sim_version": SIM_VERSION, "app": abbr,
-               "scale": scale, "tag": tag, "file": path.name,
-               "config": _config_key(config)}
+    manifest = path.parent / _KEYS_SIDECAR / f"{digest}.json"
+    payload = {"app": abbr, "config": _config_key(config),
+               "file": path.name, "scale": scale,
+               "sim_version": SIM_VERSION, "tag": tag}
+    if seconds is not None:
+        payload["seconds"] = round(seconds, 4)
     try:
         manifest.parent.mkdir(parents=True, exist_ok=True)
-        tmp = manifest.with_suffix(f".{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, manifest)
+        _write_json(manifest, payload)
     except OSError:
         pass    # the manifest is a catalog hint, never a source of truth
 
 
-def load_key_manifest(digest: str) -> dict | None:
-    """The recorded key components of one cached point, or None.
-
-    Entries filled before the manifest existed (or through a read-only
-    cache) are legitimately absent — the explorer's catalog falls back
-    to the payload's own ``app``/``backend`` fields for those.
-    """
-    manifest = key_manifest_path(digest)
-    if manifest is None:
-        return None
+def _read_manifest(path: Path) -> dict | None:
     try:
-        payload = json.loads(manifest.read_text())
-    except (OSError, json.JSONDecodeError):
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError):
         return None
     return payload if isinstance(payload, dict) else None
+
+
+def load_key_manifest(digest: str, root: Path) -> dict | None:
+    """The recorded key components of one point cached under ``root``.
+
+    None when absent: entries filled before the manifest existed (or
+    through a read-only cache) have none — the explorer's catalog falls
+    back to the payload's own ``app``/``backend`` fields for those.
+    """
+    return _read_manifest(root / _KEYS_SIDECAR / f"{digest}.json")
+
+
+def load_timings() -> dict[str, dict]:
+    """Measured fills: ``point_digest -> key manifest`` with ``"seconds"``.
+
+    A scan of the key manifests that the sweep's cost model plans
+    against.  Manifests that do not decode or carry no seconds (written
+    by ``repro trace``, or before fills were timed) are skipped.
+    Returns {} when caching is off or nothing has been filled.
+    """
+    root = _cache_dir()
+    if root is None:
+        return {}
+    timings = {}
+    for path in (root / _KEYS_SIDECAR).glob("*.json"):
+        manifest = _read_manifest(path)
+        if manifest is not None and isinstance(manifest.get("seconds"),
+                                               (int, float)):
+            timings[path.stem] = manifest
+    return timings
 
 
 #: Points this process actually simulated through :func:`_fill_point`
@@ -263,22 +295,26 @@ def _fill_point(path: Path | None, compute: Callable[[], SimResult],
     2. try to create ``<path>.lock`` with ``O_CREAT | O_EXCL`` — exactly one
        worker per key wins;
     3. the winner re-checks the cache (it may have been filled while racing
-       for the lock), simulates, atomically publishes, removes the lock;
+       for the lock), moves a file that does not decode to ``*.corrupt``,
+       simulates, atomically publishes, removes the lock;
     4. losers wait with capped exponential backoff until the lock
        disappears, then read the winner's file.  A lock older than
        ``REPRO_LOCK_STALE`` seconds with no result is presumed to belong
        to a crashed worker and is stolen.
 
+    Everyone but the lock holder treats an undecodable file as absent.
     ``key_meta`` (a lazy ``() -> (config, abbr, scale, tag)``) lets the
-    winner record the point's key components in the catalog manifest
-    after publishing; it is never invoked on a hit.
+    winner record the point's key components and the seconds ``compute``
+    took in the key manifest after publishing; it is never invoked on a
+    hit.
     """
     global SIMULATIONS
     if path is None:
         SIMULATIONS += 1
         return compute()
-    if path.exists():
-        return _load(path)
+    result = _try_load(path)
+    if result is not None:
+        return result
     if _cache_dir(create=True) is None:   # cache dir vanished / read-only
         SIMULATIONS += 1
         return compute()
@@ -288,99 +324,43 @@ def _fill_point(path: Path | None, compute: Callable[[], SimResult],
             fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             delay = _LOCK_POLL_INITIAL_S
-            while lock.exists() and not path.exists():
+            while lock.exists():
+                result = _try_load(path)
+                if result is not None:
+                    return result
                 with contextlib.suppress(FileNotFoundError):
                     if time.time() - lock.stat().st_mtime > _lock_stale_s():
                         lock.unlink(missing_ok=True)
                         break
                 time.sleep(delay)
                 delay = min(delay * 2, _LOCK_POLL_MAX_S)
-            if path.exists():
-                return _load(path)
-            continue  # lock released or stolen but no result: try to acquire
+            continue  # lock released or stolen: re-check under the lock
         os.close(fd)
         try:
-            if path.exists():  # filled while we raced for the lock
-                return _load(path)
+            result = _try_load(path)
+            if result is not None:  # filled while we raced for the lock
+                return result
+            if path.exists():
+                _quarantine(path)
+            start = time.perf_counter()
             result = compute()
+            seconds = time.perf_counter() - start
             _atomic_write(path, result)
             SIMULATIONS += 1
             if key_meta is not None:
-                _write_key_manifest(path, *key_meta())
+                _write_key_manifest(path, *key_meta(), seconds=seconds)
             return result
         finally:
             lock.unlink(missing_ok=True)
 
 
-# --------------------------------------------------------------------------
-# Cost-model sidecar: measured per-point wall-times
-# --------------------------------------------------------------------------
-
-#: Sidecar paths we already warned about being corrupt, so a sweep that
-#: calls :func:`load_timings` once per plan doesn't repeat itself.
-_WARNED_TIMINGS: set[str] = set()
-
-
-def load_timings() -> dict[str, dict]:
-    """The wall-time sidecar: ``point_digest -> {"app", "seconds"}``.
-
-    ``"seconds"`` is what the cost model reads; any other keys an entry
-    carries are ignored.  Returns {} when caching is off or nothing has
-    been recorded.  A corrupt or truncated sidecar
-    (torn write from a crashed process, disk-full half-file) degrades to
-    {} — unordered-but-correct scheduling — with a one-time structured
-    warning rather than silence.
-    """
-    root = _cache_dir()
-    if root is None:
-        return {}
-    path = root / _TIMINGS_SIDECAR
-    try:
-        text = path.read_text()
-    except OSError:
-        return {}    # never recorded: the normal cold-cache case
-    try:
-        payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise ValueError(f"expected a JSON object, got "
-                             f"{type(payload).__name__}")
-    except (json.JSONDecodeError, ValueError) as exc:
-        if str(path) not in _WARNED_TIMINGS:
-            _WARNED_TIMINGS.add(str(path))
-            warnings.warn(
-                f"timings sidecar {path} is corrupt ({exc}); ignoring it — "
-                f"sweep scheduling degrades to unordered until the next "
-                f"completed sweep rewrites it",
-                RuntimeWarning, stacklevel=2)
-        return {}
-    return payload
-
-
-def record_timings(entries) -> None:
-    """Merge measured ``(key, abbr, seconds)`` wall-times into the sidecar.
-
-    A new measurement replaces the point's whole entry, so the latest run
-    is what the cost model plans against.
-
-    Read-merge-replace with an atomic rename: concurrent sweeps can lose
-    each other's updates (last write wins) but never corrupt the file —
-    the sidecar is a scheduling hint, not a source of truth.
-    """
-    entries = list(entries)
-    if not entries or _cache_dir(create=True) is None:
-        return
-    path = _cache_dir() / _TIMINGS_SIDECAR
-    merged = load_timings()
-    for key, abbr, seconds in entries:
-        merged[point_digest(key)] = {"app": abbr,
-                                     "seconds": round(float(seconds), 4)}
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(merged, sort_keys=True))
-        os.replace(tmp, path)
-    except OSError:
-        pass  # a read-only cache degrades to unordered scheduling
+def _quarantine(path: Path) -> None:
+    """Move a cache file that does not decode aside, keeping its bytes."""
+    corrupt = path.with_suffix(".corrupt")
+    os.replace(path, corrupt)
+    warnings.warn(f"result cache file {path.name} did not decode; moved it "
+                  f"to {corrupt} and simulating the point again",
+                  RuntimeWarning, stacklevel=3)
 
 
 # --------------------------------------------------------------------------
@@ -435,13 +415,14 @@ def _stub_result(app: str) -> SimResult:
 def cached_result(config: SimConfig, app: str | Workload,
                   scale: float | None = None,
                   workload_tag: str = "") -> SimResult | None:
-    """The cached :class:`SimResult` for a point, or None.  Never simulates."""
+    """The cached :class:`SimResult` for a point, or None.  Never simulates.
+
+    A cache file that does not decode counts as a miss.
+    """
     scale = bench_scale() if scale is None else scale
     abbr = app if isinstance(app, str) else app.abbr
     path = _point_path(config, abbr, scale, workload_tag)
-    if path is not None and path.exists():
-        return _load(path)
-    return None
+    return None if path is None else _try_load(path)
 
 
 def store_point(config: SimConfig, app: str | Workload, result: SimResult,
@@ -451,8 +432,9 @@ def store_point(config: SimConfig, app: str | Workload, result: SimResult,
 
     Used by ``repro trace``: a traced run simulates the exact same event
     sequence as an untraced one, so its result is a valid cache fill for
-    the standard key.  Returns the published path, or None when caching
-    is off.
+    the standard key.  Its manifest records no seconds: a traced run's
+    time is not the point's cost.  Returns the published path, or None
+    when caching is off.
     """
     scale = bench_scale() if scale is None else scale
     abbr = app if isinstance(app, str) else app.abbr

@@ -23,11 +23,11 @@ Both produce bit-identical results (same seeded RNG from
 files — asserted by ``tests/test_sweep.py`` against the golden-run
 digests).
 
-Cost-model scheduling: measured per-point wall-times persist in a sidecar
-under the result cache (``runner.load_timings``).  Misses are submitted
-longest-first — greedy LPT packing, so one slow high-MPKI straggler no
-longer dictates the batch tail — and ``repro sweep --dry-run`` prints the
-planned order.
+Cost-model scheduling: every fill records the seconds its simulation took
+in the point's key manifest (``runner.load_timings`` reads them back).
+Misses are submitted longest-first — greedy LPT packing, so one slow
+high-MPKI straggler no longer dictates the batch tail — and
+``repro sweep --dry-run`` prints the planned order.
 
 Prewarming: :func:`collect_points` runs an experiment function in the
 runner's collection mode — ``run_point``/``run_pair`` record their would-be
@@ -53,7 +53,7 @@ from repro.gpu import mcm
 from repro.gpu.mcm import SimResult
 from repro.workloads.base import Workload
 
-#: Per-point cost guess (seconds) when the sidecar has no data at all —
+#: Per-point cost guess (seconds) when no manifest has seconds at all —
 #: only the *relative* order matters, so any constant works.
 _DEFAULT_COST = 1.0
 
@@ -195,15 +195,14 @@ def _run_inline(point: SweepPoint) -> SimResult:
                             point.workload_tag)
 
 
-def _emit(events, kind: str, **fields) -> None:
-    """Forward one structured run event to the sink, if there is one.
-
-    Events are plain dicts with an ``event`` discriminator; the sink
-    (typically :class:`repro.obs.eventlog.RunEventLog`) owns timestamps
-    and persistence, so the engine stays deterministic and free of I/O.
-    """
+def _emit_finish(events, pp: PlannedPoint, seconds: float,
+                 stolen: bool, worker: int) -> None:
+    """Tell the ``events`` hook, if there is one, that a miss finished."""
     if events is not None:
-        events({"event": kind, **fields})
+        events({"event": "point_finish",
+                "digest": runner.point_digest(pp.key), "app": pp.point.abbr,
+                "seconds": round(seconds, 4), "stolen": stolen,
+                "worker": worker})
 
 
 # --------------------------------------------------------------------------
@@ -214,12 +213,13 @@ def plan_misses(misses: list[tuple[str, SweepPoint]],
                 workers: int) -> list[PlannedPoint]:
     """Cost-model schedule: estimate, group by affinity, pack longest-first.
 
-    Estimates come from the runner's wall-time sidecar (exact where this
-    point has run before, per-app median otherwise).  Affinity groups are
-    sorted by total cost and greedily assigned to the least-loaded worker
-    (LPT packing); within a worker the queue is group-contiguous — so the
-    trace memo stays hot — with costlier groups and points first.  The
-    returned list is the concatenation of the workers' queues.
+    Estimates come from the seconds in the key manifests (exact where
+    this point has been filled before, per-app median otherwise).
+    Affinity groups are sorted by total cost and greedily assigned to the
+    least-loaded worker (LPT packing); within a worker the queue is
+    group-contiguous — so the trace memo stays hot — with costlier groups
+    and points first.  The returned list is the concatenation of the
+    workers' queues.
     """
     timings = runner.load_timings()
     by_app: dict[str, list[float]] = {}
@@ -326,8 +326,6 @@ def _run_serial(plan: list[PlannedPoint], reporter: _Progress,
     reporter.update(stats.cached, running=1)
     done = 0
     for pp in plan:
-        _emit(events, "point_start", digest=runner.point_digest(pp.key),
-              app=pp.point.abbr, worker=0)
         hits, memo_misses = memo.hits, memo.misses
         t0 = time.perf_counter()
         results[pp.key] = _run_inline(pp.point)
@@ -336,9 +334,7 @@ def _run_serial(plan: list[PlannedPoint], reporter: _Progress,
         stats.memo_hits += memo.hits - hits
         stats.memo_misses += memo.misses - memo_misses
         done += 1
-        _emit(events, "point_finish", digest=runner.point_digest(pp.key),
-              app=pp.point.abbr, seconds=round(seconds, 4),
-              stolen=False, worker=0)
+        _emit_finish(events, pp, seconds, stolen=False, worker=0)
         reporter.update(stats.cached + done,
                         running=int(done < len(plan)))
 
@@ -354,12 +350,11 @@ def _pool_worker(worker_id: int, inboxes: list, result_q, stop) -> None:
     Each inbox item is ``(index, point)``; each result is ``(index,
     payload_or_None, seconds, memo_hits, memo_misses, stolen,
     error_or_None)`` — ``stolen`` records whether the point came from a
-    peer's queue, which the parent aggregates into ``SweepStats.steals``
-    and the run-event log.  The worker publishes through the runner's
-    cache (``_run_inline`` → ``run_point`` → atomic write) and ships
-    ``payload=None`` when the cache file landed — the parent loads it
-    from disk — falling back to the full payload under
-    ``REPRO_NO_CACHE`` or an unwritable cache.
+    peer's queue, which the parent aggregates into ``SweepStats.steals``.
+    The worker publishes through the runner's cache (``_run_inline`` →
+    ``run_point`` → atomic write) and ships ``payload=None`` when the
+    cache file landed — the parent loads it from disk — falling back to
+    the full payload under ``REPRO_NO_CACHE`` or an unwritable cache.
     """
     signal.signal(signal.SIGTERM, _exit_on_sigterm)
     order = [worker_id] + [i for i in range(len(inboxes)) if i != worker_id]
@@ -414,8 +409,6 @@ def _run_pool(plan: list[PlannedPoint], workers: int, reporter: _Progress,
     stop = ctx.Event()
     for index, pp in enumerate(plan):
         inboxes[pp.worker].put((index, pp.point))
-        _emit(events, "point_start", digest=runner.point_digest(pp.key),
-              app=pp.point.abbr, worker=pp.worker)
     procs = [ctx.Process(target=_pool_worker,
                          args=(w, inboxes, result_q, stop), daemon=True)
              for w in range(workers)]
@@ -458,10 +451,8 @@ def _run_pool(plan: list[PlannedPoint], workers: int, reporter: _Progress,
             stats.memo_misses += memo_misses
             stats.steals += int(stolen)
             pending -= 1
-            _emit(events, "point_finish",
-                  digest=runner.point_digest(pp.key), app=pp.point.abbr,
-                  seconds=round(seconds, 4), stolen=bool(stolen),
-                  worker=pp.worker)
+            _emit_finish(events, pp, seconds, stolen=bool(stolen),
+                         worker=pp.worker)
             reporter.update(cached + len(plan) - pending,
                             running=min(workers, pending))
     finally:
@@ -496,11 +487,9 @@ def sweep(points, jobs: int | None = None, progress: bool | None = None,
     simulating — missing points come back as ``None`` with the cost-model
     schedule in ``outcome.plan``.
 
-    ``events`` is a callable receiving structured run-event dicts
-    (``sweep_start``, ``point_cache_hit``, ``point_start``,
-    ``point_finish``, ``sweep_finish`` — see ``docs/observability.md``);
-    :class:`repro.obs.eventlog.RunEventLog` is the JSONL-persisting sink
-    ``repro sweep --events`` wires in.
+    ``events`` is an optional callable that receives one
+    ``{"event": "point_finish", "digest", "app", "seconds", "stolen",
+    "worker"}`` dict as each miss finishes, in completion order.
     """
     points = list(points)
     if runner.is_collecting():
@@ -517,7 +506,6 @@ def sweep(points, jobs: int | None = None, progress: bool | None = None,
         unique.setdefault(key, point)
     results: dict[str, SimResult | None] = {}
     misses: list[tuple[str, SweepPoint]] = []
-    hits: list[tuple[str, SweepPoint]] = []
     for key, point in unique.items():
         hit = runner.cached_result(point.config, point.abbr, point.scale,
                                    point.tag)
@@ -525,14 +513,8 @@ def sweep(points, jobs: int | None = None, progress: bool | None = None,
             misses.append((key, point))
         else:
             results[key] = hit
-            hits.append((key, point))
     cached = len(results)
     stats = SweepStats(total=len(points), unique=len(unique), cached=cached)
-    _emit(events, "sweep_start", total=stats.total, unique=stats.unique,
-          cached=cached, misses=len(misses), dry_run=dry_run)
-    for key, point in hits:
-        _emit(events, "point_cache_hit",
-              digest=runner.point_digest(key), app=point.abbr)
     plan: list[PlannedPoint] = []
     reporter = _Progress(len(unique), cached, enabled=progress)
     if dry_run:
@@ -542,26 +524,14 @@ def sweep(points, jobs: int | None = None, progress: bool | None = None,
     elif misses:
         stats.simulated = len(misses)
         stats.jobs = _pool_width(jobs, len(misses))
-        try:
-            plan = plan_misses(misses, stats.jobs)
-            if stats.jobs == 1:
-                _run_serial(plan, reporter, results, stats, events=events)
-            else:
-                _run_pool(plan, stats.jobs, reporter, results, stats,
-                          events=events)
-        finally:
-            # A failed run still banks the wall-times it measured — the
-            # cost model should learn from every completed point.
-            runner.record_timings(
-                (pp.key, pp.point.abbr, stats.point_seconds[pp.key])
-                for pp in plan if pp.key in stats.point_seconds)
+        plan = plan_misses(misses, stats.jobs)
+        if stats.jobs == 1:
+            _run_serial(plan, reporter, results, stats, events=events)
+        else:
+            _run_pool(plan, stats.jobs, reporter, results, stats,
+                      events=events)
     reporter.finish()
     stats.elapsed = time.perf_counter() - start
-    _emit(events, "sweep_finish", total=stats.total, unique=stats.unique,
-          cached=stats.cached, simulated=len(stats.point_seconds),
-          steals=stats.steals, memo_hits=stats.memo_hits,
-          memo_misses=stats.memo_misses, jobs=stats.jobs,
-          elapsed=round(stats.elapsed, 4), dry_run=dry_run)
     return SweepOutcome([results[key] for key in keys], stats, plan)
 
 

@@ -12,7 +12,6 @@ are ratios of ``SimResult.cycles``.
 
 from __future__ import annotations
 
-import os
 from collections import Counter, OrderedDict, defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -151,15 +150,13 @@ class _TraceMemo:
     :func:`build_cta_traces`.  A sweep worker that simulates several
     configurations of one app (the affinity scheduler routes them to the
     same process) generates the app's CTA offset arrays once and replays
-    them for every config.  ``REPRO_TRACE_MEMO`` sets the entry count
-    (default 32; ``0`` disables memoization).  Entries are shared across
-    simulations and must never be mutated — nothing downstream does (the
-    VPN mapping copies into fresh arrays).
+    them for every config.  ``maxsize`` is the entry count (``0``
+    disables memoization).  Entries are shared across simulations and
+    must never be mutated — nothing downstream does (the VPN mapping
+    copies into fresh arrays).
     """
 
-    def __init__(self, maxsize: int | None = None) -> None:
-        if maxsize is None:
-            maxsize = int(os.environ.get("REPRO_TRACE_MEMO", "32"))
+    def __init__(self, maxsize: int = 32) -> None:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0

@@ -2,18 +2,19 @@
 
 A cache filename carries only ``<app>-<digest>.json`` — the digest is a
 one-way hash of the full point key (SIM_VERSION, canonical config JSON,
-app, scale, tag) — so the catalog leans on the key-manifest sidecar the
-runner writes at fill time (``meta/keys/<digest>.json``,
-:func:`repro.experiments.runner.load_key_manifest`).  Entries filled
-before the manifest existed decode from the payload's own ``app`` /
-``backend`` fields with unknown scale and version; they are still
-listed, just less precisely.
+app, scale, tag) — so the catalog leans on the key manifest the runner
+writes at fill time (``<root>/meta/keys/<digest>.json``,
+:func:`repro.experiments.runner.load_key_manifest`), which also carries
+the host seconds the fill took.  Entries filled before the manifest
+existed decode from the payload's own ``app`` / ``backend`` fields with
+unknown scale, version and seconds; they are still listed, just less
+precisely.
 
 Scheme names are recovered by comparing the manifest's canonical config
 JSON against every registered scheme factory's
-(:data:`repro.cli.SCHEMES`, imported lazily to avoid a CLI ↔ obs cycle).
-A config that matches no factory — e.g. a figure's modified variant —
-reports the payload's backend value instead.
+(:data:`repro.experiments.configs.SCHEMES`).  A config that matches no
+factory — e.g. a figure's modified variant — reports the payload's
+backend value instead.
 
 Nothing in this module simulates, writes, or locks: the catalog is a
 read-only view, safe to take while a sweep is filling the same cache
@@ -28,6 +29,7 @@ from pathlib import Path
 
 from repro.common.stats import LatencyHistogram
 from repro.experiments import runner
+from repro.experiments.configs import SCHEMES
 
 
 @dataclass
@@ -42,7 +44,7 @@ class CatalogEntry:
     scale: float | None             #: None when no manifest survived
     sim_version: str | None         #: None when no manifest survived
     tag: str
-    seconds: float | None           #: measured wall-time (timings sidecar)
+    seconds: float | None           #: fill-time host seconds (manifest)
     cycles: int
     payload: dict = field(repr=False, default_factory=dict)
 
@@ -59,12 +61,11 @@ class CatalogEntry:
 
 def scheme_index() -> dict[str, str]:
     """Canonical config JSON -> scheme name, for every registered scheme."""
-    from repro.cli import SCHEMES  # lazy: cli imports experiments widely
     return {runner._config_key(factory()): name
             for name, factory in sorted(SCHEMES.items())}
 
 
-def _entry_from_file(path: Path, timings: dict,
+def _entry_from_file(path: Path,
                      schemes: dict[str, str]) -> CatalogEntry | None:
     try:
         payload = json.loads(path.read_text())
@@ -73,8 +74,7 @@ def _entry_from_file(path: Path, timings: dict,
     if not isinstance(payload, dict) or "cycles" not in payload:
         return None
     digest = path.stem.rsplit("-", 1)[-1]
-    manifest = runner.load_key_manifest(digest) or {}
-    timing = timings.get(digest)
+    manifest = runner.load_key_manifest(digest, path.parent) or {}
     backend = str(payload.get("backend", "?"))
     scheme = schemes.get(manifest.get("config"), backend)
     return CatalogEntry(
@@ -84,7 +84,7 @@ def _entry_from_file(path: Path, timings: dict,
         scale=manifest.get("scale"),
         sim_version=manifest.get("sim_version"),
         tag=str(manifest.get("tag", "")),
-        seconds=float(timing["seconds"]) if timing else None,
+        seconds=manifest.get("seconds"),
         cycles=int(payload["cycles"]),
         payload=payload)
 
@@ -105,11 +105,10 @@ def scan(root: Path | str | None = None) -> list[CatalogEntry]:
     root = Path(root)
     if not root.is_dir():
         return []
-    timings = runner.load_timings() if root == runner._cache_dir() else {}
     schemes = scheme_index()
     entries = []
     for path in sorted(root.glob("*.json")):
-        entry = _entry_from_file(path, timings, schemes)
+        entry = _entry_from_file(path, schemes)
         if entry is not None:
             entries.append(entry)
     entries.sort(key=lambda e: (e.app, e.scheme, e.tag,

@@ -55,16 +55,7 @@ from repro.workloads.base import Workload
 
 #: Scheme factories the harness (and the CLI) accepts.  ``ats`` is the
 #: paper's name for the baseline ATS translation flow.
-SCHEME_FACTORIES = {
-    "ats": configs.baseline,
-    "baseline": configs.baseline,
-    "barre": configs.barre,
-    "fbarre": configs.fbarre,
-    "least": configs.least,
-    "valkyrie": configs.valkyrie,
-    "shared-l2": configs.shared_l2,
-    "mgvm": configs.mgvm,
-}
+SCHEME_FACTORIES = {"ats": configs.baseline, **configs.SCHEMES}
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import FIGURES, SCHEMES, main
+from repro.cli import FIGURES, main
+from repro.experiments.configs import SCHEMES
 
 
 def test_list_command(capsys):
@@ -83,3 +84,17 @@ def test_all_figures_registered():
     # and multi-tenant-churn extensions + 3 ablations.
     assert len(FIGURES) == 26
     assert len(SCHEMES) == 7
+
+
+def test_scheme_names_accepted_by_every_command():
+    from repro.cli import _build_parser
+    from repro.validation.differential import SCHEME_FACTORIES
+    names = {"baseline", "shared-l2", "valkyrie", "least", "barre",
+             "fbarre", "mgvm"}
+    commands = _build_parser()._subparsers._group_actions[0].choices
+    for command in ("run", "suite", "trace"):
+        (scheme,) = [a for a in commands[command]._actions
+                     if a.dest == "scheme"]
+        assert set(scheme.choices) == names, command
+    assert set(SCHEMES) == names                       # sweep --schemes
+    assert set(SCHEME_FACTORIES) == names | {"ats"}    # validate --schemes

@@ -260,11 +260,13 @@ class TestTraceMemo:
         mcm.build_cta_traces([get_workload("gemv")], 2024, SCALE)
         assert memo.misses == 4
 
-    def test_env_zero_disables_memoization(self, monkeypatch):
+    def test_default_size_is_32(self):
         from repro.gpu import mcm
-        monkeypatch.setenv("REPRO_TRACE_MEMO", "0")
-        memo = mcm._TraceMemo()
-        assert memo.maxsize == 0
+        assert mcm._TraceMemo().maxsize == 32
+
+    def test_maxsize_zero_disables_memoization(self):
+        from repro.gpu import mcm
+        memo = mcm._TraceMemo(maxsize=0)
         memo.store(("key",), [])
         assert memo.lookup(("key",)) is None
         assert len(memo) == 0

@@ -1,4 +1,4 @@
-"""Tests for the observability layer: catalog, reports, event log, CLI.
+"""Tests for the observability layer: catalog, reports, CLI.
 
 The catalog/report tests warm a private result cache with real (tiny)
 simulation points, then assert everything downstream — decoding,
@@ -12,16 +12,19 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 
 import pytest
 
 from repro import cli
 from repro.common.trace import Span, read_spans_jsonl, write_spans_jsonl
 from repro.experiments import runner as runner_mod
-from repro.experiments.runner import run_point
+from repro.experiments.configs import SCHEMES
+from repro.experiments.runner import run_point, store_point
 from repro.experiments.sweep import SweepPoint, sweep
+from repro.gpu.mcm import McmGpuSimulator
 from repro.obs import catalog, reports
-from repro.obs.eventlog import RunEventLog, read_events
+from repro.workloads.suite import get_workload
 
 SCALE = 0.05
 APP = "gemv"
@@ -37,7 +40,7 @@ def cache(tmp_path, monkeypatch):
 
 def warm(schemes=("baseline", "fbarre")):
     for scheme in schemes:
-        run_point(cli.SCHEMES[scheme](), APP, scale=SCALE)
+        run_point(SCHEMES[scheme](), APP, scale=SCALE)
 
 
 class TestKeyManifest:
@@ -52,6 +55,18 @@ class TestKeyManifest:
         assert recorded["tag"] == ""
         assert recorded["file"].startswith(f"{APP}-")
         assert json.loads(recorded["config"])  # canonical config JSON
+        assert recorded["seconds"] > 0
+
+    def test_traced_store_records_no_seconds(self, cache):
+        result = McmGpuSimulator(SCHEMES["baseline"](),
+                                 [get_workload(APP)], trace_scale=SCALE,
+                                 trace=True).run()
+        store_point(SCHEMES["baseline"](), APP, result, scale=SCALE)
+        (manifest,) = (cache / "meta" / "keys").glob("*.json")
+        recorded = json.loads(manifest.read_text())
+        assert recorded["app"] == APP
+        assert "seconds" not in recorded
+        assert runner_mod.load_timings() == {}
 
     def test_cache_hit_does_not_rewrite_manifest(self, cache):
         warm(("baseline",))
@@ -61,7 +76,7 @@ class TestKeyManifest:
         assert manifest.stat().st_mtime_ns == before
 
     def test_load_key_manifest_missing_is_none(self, cache):
-        assert runner_mod.load_key_manifest("0" * 24) is None
+        assert runner_mod.load_key_manifest("0" * 24, cache) is None
 
 
 class TestCatalog:
@@ -73,6 +88,20 @@ class TestCatalog:
         assert all(e.scale == SCALE for e in entries)
         assert all(e.sim_version == runner_mod.SIM_VERSION for e in entries)
         assert all(e.cycles > 0 for e in entries)
+        assert all(e.seconds > 0 for e in entries)
+
+    def test_scan_reads_manifests_of_the_scanned_root(self, cache,
+                                                      tmp_path_factory,
+                                                      monkeypatch):
+        warm(("baseline",))
+        copy = tmp_path_factory.mktemp("copy") / "cache"
+        shutil.copytree(cache, copy)
+        monkeypatch.setenv("REPRO_CACHE_DIR",
+                           str(tmp_path_factory.mktemp("elsewhere")))
+        (entry,) = catalog.scan(copy)
+        assert entry.sim_version == runner_mod.SIM_VERSION
+        assert entry.scale == SCALE
+        assert entry.seconds > 0
 
     def test_scan_without_manifest_falls_back_to_payload(self, cache):
         warm(("fbarre",))
@@ -83,6 +112,7 @@ class TestCatalog:
         assert entry.scheme == entry.backend    # best-effort decode
         assert entry.sim_version is None
         assert entry.scale is None
+        assert entry.seconds is None
 
     def test_scan_empty_or_disabled_cache(self, cache, monkeypatch):
         assert catalog.scan() == []
@@ -167,47 +197,21 @@ class TestSpanRoundTrip:
         assert "walk" in text and "issue" in text
 
 
-class TestEventLog:
-    def test_sink_stamps_seq_and_ts_and_persists_jsonl(self, tmp_path):
-        clock = iter([100.0, 101.5]).__next__
-        path = tmp_path / "run.jsonl"
-        with RunEventLog(path, clock=clock) as log:
-            log({"event": "sweep_start", "total": 3})
-            log({"event": "sweep_finish"})
-        records = read_events(path)
-        assert [r["seq"] for r in records] == [0, 1]
-        assert records[0]["ts"] == 100.0
-        assert records[0]["event"] == "sweep_start"
-        assert records[0]["total"] == 3
-
-    def test_pathless_sink_records_in_memory(self):
-        log = RunEventLog(None)
-        log({"event": "point_finish"})
-        assert log.events[0]["event"] == "point_finish"
-
-    def test_read_events_skips_torn_lines(self, tmp_path):
-        path = tmp_path / "torn.jsonl"
-        path.write_text('{"event": "a", "seq": 0, "ts": 1}\n{"event": "b"')
-        assert [r["event"] for r in read_events(path)] == ["a"]
-        assert read_events(tmp_path / "missing.jsonl") == []
-
-    def test_sweep_emits_lifecycle_events(self, cache):
-        log = RunEventLog(None)
-        point = SweepPoint(cli.SCHEMES["baseline"](), APP, SCALE)
-        sweep([point], jobs=1, progress=False, events=log)
-        kinds = [e["event"] for e in log.events]
-        assert kinds[0] == "sweep_start"
-        assert kinds[-1] == "sweep_finish"
-        assert "point_start" in kinds and "point_finish" in kinds
-        finish = next(e for e in log.events if e["event"] == "point_finish")
+class TestSweepEvents:
+    def test_sweep_emits_point_finish_per_simulated_point(self, cache):
+        events = []
+        point = SweepPoint(SCHEMES["baseline"](), APP, SCALE)
+        out = sweep([point], jobs=1, progress=False, events=events.append)
+        (finish,) = events
+        assert finish["event"] == "point_finish"
         assert finish["app"] == APP and finish["stolen"] is False
         assert re.fullmatch(r"[0-9a-f]{24}", finish["digest"])
-        # Second run: everything cached, so the timeline says so.
-        rerun = RunEventLog(None)
-        sweep([point], jobs=1, progress=False, events=rerun)
-        rerun_kinds = [e["event"] for e in rerun.events]
-        assert "point_cache_hit" in rerun_kinds
-        assert "point_start" not in rerun_kinds
+        assert finish["seconds"] == round(
+            out.stats.point_seconds[point.key()], 4)
+        # Second run: everything cached, so nothing finishes.
+        events.clear()
+        sweep([point], jobs=1, progress=False, events=events.append)
+        assert events == []
 
 
 class TestExploreCli:
@@ -224,7 +228,7 @@ class TestExploreCli:
         warm(("baseline",))
 
         def simulating_overview(entries):
-            run_point(cli.SCHEMES["fbarre"](), APP, scale=SCALE)  # cold
+            run_point(SCHEMES["fbarre"](), APP, scale=SCALE)  # cold
             return "overview"
 
         monkeypatch.setattr(reports, "overview", simulating_overview)
@@ -248,6 +252,16 @@ class TestExploreCli:
         out = capsys.readouterr().out
         assert "phase breakdown" in out
         assert "bc-2 vs bc-3" in out
+
+    def test_explore_cache_flag_decodes_its_own_manifests(
+            self, cache, tmp_path_factory, monkeypatch, capsys):
+        warm(("baseline",))
+        elsewhere = tmp_path_factory.mktemp("elsewhere")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(elsewhere))
+        assert cli.main(["explore", "--cache", str(cache)]) == 0
+        out = capsys.readouterr().out
+        assert f"sim versions: {runner_mod.SIM_VERSION}" in out
+        assert "over 1 timed points" in out
 
     def test_explore_empty_cache_is_fine(self, cache, capsys):
         assert cli.main(["explore"]) == 0

@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import re
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from repro.experiments.runner import (
     cached_result,
     load_timings,
     point_digest,
-    record_timings,
     run_point,
     store_point,
 )
@@ -37,6 +37,7 @@ from repro.experiments.sweep import (
     sweep,
 )
 from repro.gpu.mcm import McmGpuSimulator
+from repro.workloads.suite import get_workload
 
 # The package re-exports the ``sweep`` function under the module's name.
 sweep_mod = importlib.import_module("repro.experiments.sweep")
@@ -374,75 +375,64 @@ class TestPool:
 
 
 class TestCostModel:
-    def test_timings_sidecar_round_trip_and_merge(self, cache):
-        record_timings([("key-a", "gemv", 1.5), ("key-b", "fft", 3.0)])
-        record_timings([("key-a", "gemv", 2.0)])   # last measurement wins
+    def test_timings_come_from_key_manifests(self, cache):
+        point = SweepPoint(configs.baseline(), "gemv", SCALE)
+        run_point(point.config, "gemv", scale=SCALE)       # outside sweep()
         timings = load_timings()
-        assert timings[point_digest("key-a")] == {"app": "gemv",
-                                                  "seconds": 2.0}
-        assert timings[point_digest("key-b")] == {"app": "fft",
-                                                  "seconds": 3.0}
-        # The sidecar lives under meta/ and must not count as a cache file.
-        assert not list(cache.glob("*.json"))
+        assert list(timings) == [point_digest(point.key())]
+        assert timings[point_digest(point.key())]["app"] == "gemv"
+        assert timings[point_digest(point.key())]["seconds"] > 0
+        # Manifests live under meta/ and do not count as cache files.
+        assert len(list(cache.glob("*.json"))) == 1
+        # A traced fill records no seconds, so it is not a measurement.
+        traced = SweepPoint(configs.fbarre(), "gemv", SCALE)
+        store_point(traced.config, "gemv",
+                    McmGpuSimulator(traced.config, [get_workload("gemv")],
+                                    trace_scale=SCALE, trace=True).run(),
+                    scale=SCALE)
+        assert list(load_timings()) == [point_digest(point.key())]
 
-        # A sidecar written by older releases carries a per-host submap:
-        # it still plans, and re-recording a point replaces its entry.
-        points = [SweepPoint(configs.baseline(), app, SCALE)
-                  for app in ("gemv", "fft")]
-        (cache / "meta" / "timings.json").write_text(json.dumps({
-            point_digest(points[0].key()): {
-                "app": "gemv", "seconds": 0.5,
-                "hosts": {"vm-a": 0.4, "vm-b": 0.5, "vm-c": 0.6}},
-            point_digest(points[1].key()): {
-                "app": "fft", "seconds": 9.0, "hosts": {"vm-a": 9.0}},
-        }, sort_keys=True))
-        plan = plan_misses([(p.key(), p) for p in points], workers=1)
-        assert [pp.point.abbr for pp in plan] == ["fft", "gemv"]
-        assert [pp.est_seconds for pp in plan] == [9.0, 0.5]
-        assert all(pp.source == "measured" for pp in plan)
-        out = sweep(points[:1], jobs=1, progress=False)
-        timings = load_timings()
-        assert timings[point_digest(points[0].key())] == {
-            "app": "gemv",
-            "seconds": round(out.stats.point_seconds[points[0].key()], 4)}
-        assert timings[point_digest(points[1].key())]["seconds"] == 9.0
-
-    def test_corrupt_timings_sidecar_warns_once_and_recovers(self, cache):
-        """A torn write (crash mid-replace, disk-full half-file) degrades
-        to unordered scheduling with a warning — and the next completed
-        sweep rewrites a good sidecar."""
-        record_timings([("key-a", "gemv", 1.5)])
-        path = cache / "meta" / "timings.json"
-        text = path.read_text()
-        path.write_text(text[:len(text) // 2])      # torn write
-        runner_mod._WARNED_TIMINGS.clear()
-        with pytest.warns(RuntimeWarning, match="timings sidecar"):
-            assert load_timings() == {}
-        # Only once per path: a sweep calling load_timings per plan
-        # doesn't spam.
-        import warnings as warnings_mod
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("error")
-            assert load_timings() == {}
-        # Recording again replaces the torn file with a good one.
-        record_timings([("key-b", "fft", 3.0)])
-        timings = load_timings()
-        assert point_digest("key-b") in timings
-        assert point_digest("key-a") not in timings   # torn data is gone
+    def test_undecodable_manifest_is_skipped(self, cache):
+        """A torn manifest (crash mid-write on a filesystem without
+        ordered writes) is skipped without a warning: that point plans
+        like one never measured."""
+        gemv, fft, atax = (SweepPoint(configs.baseline(), app, SCALE)
+                           for app in ("gemv", "fft", "atax"))
+        _seed_manifests(cache, [(gemv, 2.0), (fft, 9.0), (atax, 3.0)])
+        keys = cache / "meta" / "keys"
+        torn = keys / f"{point_digest(fft.key())}.json"
+        torn.write_text(torn.read_text()[:10])
+        (keys / f"{point_digest(atax.key())}.json").write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            timings = load_timings()
+            plan = plan_misses([(fft.key(), fft)], workers=1)
+        assert list(timings) == [point_digest(gemv.key())]
+        assert (plan[0].source, plan[0].est_seconds) == ("suite-median", 2.0)
 
     def test_sweep_records_measured_timings(self, cache):
         point = SweepPoint(configs.baseline(), "gemv", SCALE)
         out = sweep([point], progress=False)
         entry = load_timings()[point_digest(point.key())]
         assert entry["app"] == "gemv"
-        assert entry["seconds"] == pytest.approx(
-            out.stats.point_seconds[point.key()], abs=0.01)
+        # The manifest times the simulation; the sweep also counts the
+        # cache write around it.
+        assert 0 < entry["seconds"] <= out.stats.point_seconds[point.key()]
+
+    def test_pool_fill_records_seconds(self, cache, monkeypatch):
+        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        points = [SweepPoint(configs.baseline(), app, SCALE)
+                  for app in ("gemv", "fft")]
+        out = sweep(points, jobs=2, progress=False)
+        assert out.stats.jobs == 2
+        timings = load_timings()
+        for point in points:
+            assert timings[point_digest(point.key())]["seconds"] > 0
 
     def test_plan_orders_longest_first_from_measurements(self, cache):
         points = [SweepPoint(configs.baseline(), app, SCALE)
                   for app in ("gemv", "fft", "atax")]
-        record_timings([(p.key(), p.abbr, cost) for p, cost in
-                        zip(points, (0.5, 9.0, 3.0))])
+        _seed_manifests(cache, zip(points, (0.5, 9.0, 3.0)))
         plan = plan_misses([(p.key(), p) for p in points], workers=1)
         assert [pp.point.abbr for pp in plan] == ["fft", "atax", "gemv"]
         assert all(pp.source == "measured" for pp in plan)
@@ -450,17 +440,18 @@ class TestCostModel:
 
     def test_plan_estimate_fallback_chain(self, cache):
         seen = SweepPoint(configs.baseline(), "gemv", SCALE)
-        record_timings([(seen.key(), "gemv", 2.0)])
+        _seed_manifests(cache, [(seen, 2.0)])
         # Same app, different config: falls back to the app median.
         sibling = SweepPoint(configs.fbarre(), "gemv", SCALE)
         # App never measured: falls back to the suite median.
         stranger = SweepPoint(configs.baseline(), "fft", SCALE)
-        plan = plan_misses([(sibling.key(), sibling),
+        plan = plan_misses([(seen.key(), seen), (sibling.key(), sibling),
                             (stranger.key(), stranger)], workers=1)
-        by_abbr = {pp.point.abbr: pp for pp in plan}
-        assert by_abbr["gemv"].source == "app-median"
-        assert by_abbr["gemv"].est_seconds == 2.0
-        assert by_abbr["fft"].source == "suite-median"
+        by_source = {pp.source: pp for pp in plan}
+        assert by_source["measured"].point is seen
+        assert by_source["app-median"].point is sibling
+        assert by_source["app-median"].est_seconds == 2.0
+        assert by_source["suite-median"].point is stranger
 
     def test_plan_default_cost_when_no_history(self, cache):
         point = SweepPoint(configs.baseline(), "gemv", SCALE)
@@ -482,6 +473,74 @@ class TestCostModel:
         assert all(len(ws) == 1 for ws in worker_of.values()), (
             "an affinity group was split across workers")
         assert len(worker_of) == 2   # gemv and fft groups
+
+
+def _seed_manifests(cache: Path, measured) -> None:
+    """Write a key manifest with measured seconds per ``(point, seconds)``."""
+    keys = cache / "meta" / "keys"
+    keys.mkdir(parents=True, exist_ok=True)
+    for point, seconds in measured:
+        (keys / f"{point_digest(point.key())}.json").write_text(
+            json.dumps({"app": point.abbr, "seconds": seconds}))
+
+
+class TestTornCacheFile:
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["inline", "pool"])
+    @pytest.mark.parametrize("cut", ["empty", "half"])
+    def test_torn_file_is_moved_aside_and_refilled(self, cache, monkeypatch,
+                                                   cut, jobs):
+        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        torn = SweepPoint(configs.baseline(), "gemv", SCALE)
+        path = runner_mod.point_path(torn.config, "gemv", SCALE)
+        sweep([torn], jobs=1, progress=False)
+        clean = path.read_bytes()
+        bad = b"" if cut == "empty" else clean[:len(clean) // 2]
+        path.write_bytes(bad)
+        assert cached_result(torn.config, "gemv", SCALE) is None
+
+        # Pool case: a second miss sends jobs=2 down the worker pool, so
+        # a worker process quarantines and refills the torn file.
+        points = [torn] + ([SweepPoint(configs.baseline(), "fft", SCALE)]
+                           if jobs == 2 else [])
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            out = sweep(points, jobs=jobs, progress=False)
+        assert out.stats.jobs == jobs
+        assert out.stats.simulated == len(points)
+        assert path.read_bytes() == clean
+        assert path.with_suffix(".corrupt").read_bytes() == bad
+        assert json.dumps(_serialize(out.results[0])).encode() == clean
+        if jobs == 1:
+            (warning,) = [w for w in record
+                          if issubclass(w.category, RuntimeWarning)]
+            assert f"{path.stem}.corrupt" in str(warning.message)
+
+    def test_lock_waiter_treats_torn_file_as_absent(self, cache,
+                                                    monkeypatch):
+        """Only the lock holder quarantines: a waiter that sees a torn
+        file keeps waiting and then reads the holder's result."""
+        cfg = configs.baseline()
+        path = runner_mod.point_path(cfg, "gemv", SCALE)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("")
+        lock = path.with_suffix(".lock")
+        lock.touch()   # somebody else holds the fill lock
+        sleeps: list[float] = []
+
+        def fake_sleep(seconds: float) -> None:
+            sleeps.append(seconds)
+            if len(sleeps) == 3:   # the holder publishes and releases
+                runner_mod._atomic_write(path,
+                                         runner_mod._stub_result("gemv"))
+                lock.unlink()
+
+        monkeypatch.setattr(time, "sleep", fake_sleep)
+        before = runner_mod.SIMULATIONS
+        result = run_point(cfg, "gemv", scale=SCALE)
+        assert result.backend == "stub"
+        assert runner_mod.SIMULATIONS == before
+        assert len(sleeps) == 3
+        assert not path.with_suffix(".corrupt").exists()
 
 
 class TestProgressEta:
