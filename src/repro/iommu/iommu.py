@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable
 
-from repro.common.config import IommuConfig
+from repro.common.config import IommuConfig, TlbConfig
 from repro.common.errors import SimulationError
 from repro.common.events import EventQueue
 from repro.common.stats import Histogram, StatSet
@@ -21,11 +22,9 @@ from repro.common.trace import NULL_TRACER
 from repro.iommu.ats import AtsRequest, AtsResponse
 from repro.iommu.pec import PecLogic
 from repro.iommu.scheduler import select_next
-from repro.mapping.coalescing import PecBuffer
+from repro.mapping.coalescing import PecBuffer, merged_group_vpns
 from repro.memsim.page_table import AddressSpaceRegistry
 from repro.memsim.tlb import Tlb, TlbEntry
-from repro.common.config import TlbConfig
-
 
 
 @dataclass(slots=True)
@@ -245,35 +244,62 @@ class Iommu:
         self._dispatch()
 
     def _coalesce_pending(self, walk: _WalkState, fields) -> None:
-        """Answer queued requests in the same coalescing group (Fig 7b)."""
-        desc = self.pec.descriptor_for(walk.pasid, walk.vpn)
+        """Answer queued requests in the same coalescing group (Fig 7b).
+
+        Like Fig 9's comparators, the scan screens each queued request by
+        PASID, data range and group membership, and only group members
+        reach the PFN calculator.  ``calculate_pending_pfn`` answers no VPN
+        outside the group, so each in-range non-member is a rejection; they
+        are counted in one bump per scan.
+        """
+        pasid, vpn = walk.pasid, walk.vpn
+        desc = self.pec.descriptor_for(pasid, vpn)
         if desc is None:
             return
-        survivors: deque[AtsRequest] = deque()
-        scanned = 0
+        start, end = desc.start_vpn, desc.end_vpn
         # The PEC scan window is the PW-queue itself (Section IV-F): only
         # requests that fit the queue's entries are visible to the logic.
-        window = self.config.pw_queue_entries
-        while self._pending:
+        window = self._pw_queue_entries
+        in_range = [r.vpn for r in islice(self._pending, window)
+                    if r.pasid == pasid and start <= r.vpn <= end]
+        if not in_range:
+            return
+        group = set(merged_group_vpns(desc, vpn, fields))
+        group.add(vpn)
+        if group.isdisjoint(in_range):
+            # Nothing to answer (the common case): the queue is unchanged.
+            self.pec.stats.bump("rejections", len(in_range))
+            return
+        survivors: deque[AtsRequest] = deque()
+        scanned = rejected = 0
+        # ``self._pending`` is re-read every step: ``_finish`` responds
+        # synchronously, and a GMMU's response can enqueue (and dispatch)
+        # new requests in the middle of the scan.
+        while scanned < window and self._pending:
             request = self._pending.popleft()
             scanned += 1
-            if (scanned > window or request.pasid != walk.pasid
-                    or not desc.contains(request.vpn)):
+            if request.pasid != pasid or not start <= request.vpn <= end:
                 survivors.append(request)
                 continue
-            pfn = self.pec.calculate(walk.pasid, walk.vpn, fields, request.vpn)
+            if request.vpn not in group:
+                rejected += 1
+                survivors.append(request)
+                continue
+            pfn = self.pec.calculate(pasid, vpn, fields, request.vpn)
             if pfn is None:
                 survivors.append(request)
                 continue
             self.stats.bump("pec_coalesced")
             if self.pasid_counters is not None:
                 self.pasid_counters[request.pasid]["pec_coalesced"] += 1
-            own = self.pec.synthesize_fields(walk.pasid, request.vpn,
-                                             walk.vpn, fields)
+            own = self.pec.synthesize_fields(pasid, request.vpn, vpn, fields)
             if self._tlb is not None and own is not None:
                 self._tlb.insert(TlbEntry(pasid=request.pasid, vpn=request.vpn,
                                           global_pfn=pfn, coal=own))
             self._finish(request, pfn, own, "pec")
+        if rejected:
+            self.pec.stats.bump("rejections", rejected)
+        survivors.extend(self._pending)
         self._pending = survivors
 
     # -- egress ---------------------------------------------------------------

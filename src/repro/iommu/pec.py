@@ -100,15 +100,19 @@ class PecLogic:
         desc = self.descriptor_for(pasid, vpn)
         if desc is None:
             return []
-        rnd, _inter, intra = desc.position(vpn)
+        gran = desc.interlv_gran
+        round_pages = desc.round_pages
+        rnd, within = divmod(vpn - desc.start_vpn, round_pages)
+        intra = within % gran
         intra_lo = max(0, intra - (max_merge - 1))
-        intra_hi = min(desc.interlv_gran - 1, intra + (max_merge - 1))
+        intra_hi = min(gran - 1, intra + (max_merge - 1))
+        # Each sharer's row starts inside the data, so only its end bounds.
+        stop = desc.end_vpn + 1
+        first = desc.start_vpn + rnd * round_pages
         candidates = []
-        for j in range(desc.num_sharers):
-            for i in range(intra_lo, intra_hi + 1):
-                candidate = desc.vpn_at(rnd, j, i)
-                if desc.contains(candidate):
-                    candidates.append(candidate)
+        for row in range(first, first + round_pages, gran):
+            candidates.extend(range(row + intra_lo,
+                                    min(row + intra_hi + 1, stop)))
         return candidates
 
     def synthesize_fields(self, pasid: int, pending_vpn: int,

@@ -27,8 +27,8 @@ def group_key(pec_buffer: PecBuffer, pasid: int,
     desc = pec_buffer.lookup(pasid, vpn)
     if desc is None:
         return None
-    rnd, _inter, intra = desc.position(vpn)
-    return (desc.pasid, desc.data_id, rnd, intra)
+    rnd, within = divmod(vpn - desc.start_vpn, desc.round_pages)
+    return (desc.pasid, desc.data_id, rnd, within % desc.interlv_gran)
 
 
 def select_next(pending: deque[AtsRequest], walking: Iterable[tuple[int, int]],

@@ -9,7 +9,7 @@ IOMMU's PEC logic and F-Barre's chiplet-side PEC logic both call into here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.common.errors import AddressError, TranslationError
 from repro.memsim.pte import PteFields
@@ -38,6 +38,9 @@ class DataDescriptor:
     end_vpn: int          # inclusive, like the paper's Start/End VPN fields
     interlv_gran: int
     gpu_map: tuple[int, ...]
+    #: VPNs covered by one full round across all sharers (derived once, so
+    #: it stays out of repr, eq and hash).
+    round_pages: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.start_vpn > self.end_vpn:
@@ -54,6 +57,8 @@ class DataDescriptor:
             raise AddressError("gpu_map supports at most 16 chiplets")
         if len(set(self.gpu_map)) != len(self.gpu_map):
             raise AddressError(f"gpu_map has duplicate chiplets: {self.gpu_map}")
+        object.__setattr__(self, "round_pages",
+                           self.interlv_gran * len(self.gpu_map))
 
     @property
     def num_sharers(self) -> int:
@@ -62,11 +67,6 @@ class DataDescriptor:
     @property
     def num_pages(self) -> int:
         return self.end_vpn - self.start_vpn + 1
-
-    @property
-    def round_pages(self) -> int:
-        """VPNs covered by one full round across all sharers."""
-        return self.interlv_gran * self.num_sharers
 
     def contains(self, vpn: int) -> bool:
         return self.start_vpn <= vpn <= self.end_vpn
@@ -102,12 +102,9 @@ class DataDescriptor:
         incremented/decremented by ``interlv_gran``, bounded to the data.
         """
         rnd, _inter, intra = self.position(vpn)
-        members = []
-        for j in range(self.num_sharers):
-            candidate = self.vpn_at(rnd, j, intra)
-            if self.contains(candidate):
-                members.append(candidate)
-        return members
+        first = self.vpn_at(rnd, 0, intra)
+        return list(range(first, min(first + self.round_pages,
+                                     self.end_vpn + 1), self.interlv_gran))
 
     def coal_bitmap_for(self, vpn: int) -> int:
         """The PTE coal_bitmap for ``vpn``'s group: participating chiplets."""
@@ -141,12 +138,11 @@ def merged_group_vpns(desc: DataDescriptor, vpn: int,
     gran = desc.interlv_gran
     first = (vpn - fields.intra_gpu_coal_order
              - gran * fields.inter_gpu_coal_order)
+    start, stop = desc.start_vpn, desc.end_vpn + 1
     members = []
-    for j in range(desc.num_sharers):
-        for i in range(fields.merged_groups):
-            candidate = first + gran * j + i
-            if desc.contains(candidate):
-                members.append(candidate)
+    for row in range(first, first + desc.round_pages, gran):
+        members.extend(range(max(row, start),
+                             min(row + fields.merged_groups, stop)))
     return members
 
 
@@ -165,13 +161,15 @@ def calculate_pending_pfn(desc: DataDescriptor, pte_vpn: int,
     ``coal_bitmap`` holds the count of consecutive participating GPU_map
     positions instead of a chiplet mask (needed beyond 8 chiplets).
     """
-    if not (desc.contains(pte_vpn) and desc.contains(pending_vpn)):
+    start = desc.start_vpn
+    if not (start <= pte_vpn <= desc.end_vpn
+            and start <= pending_vpn <= desc.end_vpn):
         return None
     if pending_vpn == pte_vpn:
         return fields.global_pfn
     gran = desc.interlv_gran
-    pte_chiplet = desc.chiplet_of(pte_vpn)
-    pte_base = chiplet_bases[pte_chiplet]
+    pte_inter = (pte_vpn - start) % desc.round_pages // gran
+    pte_base = chiplet_bases[desc.gpu_map[pte_inter]]
 
     if fields.extended and fields.merged_groups > 1:
         first = (pte_vpn - fields.intra_gpu_coal_order
@@ -188,13 +186,14 @@ def calculate_pending_pfn(desc: DataDescriptor, pte_vpn: int,
                 + chiplet_bases[pending_chiplet] + i)
 
     # Standard group: pending must sit at pte_vpn +/- k * interlv_gran within
-    # the same round (Example 4's increment/decrement search).
-    delta = pending_vpn - pte_vpn
-    if delta % gran:
+    # the same round (Example 4's increment/decrement search).  A multiple
+    # of the granule keeps the intra offset; the round is kept exactly when
+    # the shifted inter order still names a sharer.
+    k, rem = divmod(pending_vpn - pte_vpn, gran)
+    if rem:
         return None
-    rnd, inter, intra = desc.position(pte_vpn)
-    pending_rnd, pending_inter, pending_intra = desc.position(pending_vpn)
-    if pending_rnd != rnd or pending_intra != intra:
+    pending_inter = pte_inter + k
+    if not 0 <= pending_inter < len(desc.gpu_map):
         return None
     pending_chiplet = desc.gpu_map[pending_inter]
     if not _participates(fields, pending_inter, pending_chiplet, compact):
@@ -255,7 +254,7 @@ class PecBuffer:
     def lookup(self, pasid: int, vpn: int) -> DataDescriptor | None:
         """Find the descriptor whose VPN range contains ``vpn``."""
         for desc in self._entries:
-            if desc.pasid == pasid and desc.contains(vpn):
+            if desc.pasid == pasid and desc.start_vpn <= vpn <= desc.end_vpn:
                 return desc
         return None
 

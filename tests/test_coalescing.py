@@ -5,11 +5,15 @@ interlv_gran 3; the driver finds common local PFNs 0x75, 0x88, 0x114; the
 chiplet base PFNs are 0xA000, 0xB000, 0xC000, 0xD000.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import AddressError, TranslationError
+from repro.iommu import PecLogic
+from repro.iommu.scheduler import group_key
 from repro.mapping import (
     DataDescriptor,
     PEC_ENTRY_BITS,
@@ -278,3 +282,217 @@ def test_property_calculated_pfn_matches_direct_mapping(
         assert result == true_pfn(pending_vpn)
     else:
         assert result is None
+
+
+# -- exactness of the inlined group arithmetic ---------------------------------
+#
+# The hot paths (``calculate_pending_pfn``, ``PecLogic.candidate_vpns``,
+# ``scheduler.group_key``) do their round/intra arithmetic inline, and the
+# IOMMU screens its PW-queue scan by group membership.  The reference copies
+# below are the straightforward versions written with ``position()``,
+# ``vpn_at()`` and ``contains()``; the properties pin the fast paths to them.
+
+def _outcome(fn, *args, **kwargs):
+    """A call's value, or its exception type, so raising paths compare too."""
+    try:
+        return ("ok", fn(*args, **kwargs))
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return ("raised", type(exc))
+
+
+def _ref_participates(fields, inter_order, chiplet, compact):
+    if compact:
+        return inter_order < fields.coal_bitmap
+    return bool(fields.coal_bitmap >> chiplet & 1)
+
+
+def _ref_calculate_pending_pfn(desc, pte_vpn, fields, pending_vpn,
+                               chiplet_bases, compact=False):
+    if not (desc.contains(pte_vpn) and desc.contains(pending_vpn)):
+        return None
+    if pending_vpn == pte_vpn:
+        return fields.global_pfn
+    gran = desc.interlv_gran
+    pte_base = chiplet_bases[desc.chiplet_of(pte_vpn)]
+    if fields.extended and fields.merged_groups > 1:
+        first = (pte_vpn - fields.intra_gpu_coal_order
+                 - gran * fields.inter_gpu_coal_order)
+        j, i = divmod(pending_vpn - first, gran)
+        if not (0 <= j < desc.num_sharers and 0 <= i < fields.merged_groups):
+            return None
+        pending_chiplet = desc.gpu_map[j]
+        if not _ref_participates(fields, j, pending_chiplet, compact):
+            return None
+        return (fields.global_pfn - pte_base - fields.intra_gpu_coal_order
+                + chiplet_bases[pending_chiplet] + i)
+    if (pending_vpn - pte_vpn) % gran:
+        return None
+    rnd, _inter, intra = desc.position(pte_vpn)
+    pending_rnd, pending_inter, pending_intra = desc.position(pending_vpn)
+    if pending_rnd != rnd or pending_intra != intra:
+        return None
+    pending_chiplet = desc.gpu_map[pending_inter]
+    if not _ref_participates(fields, pending_inter, pending_chiplet, compact):
+        return None
+    return chiplet_bases[pending_chiplet] + fields.global_pfn - pte_base
+
+
+def _ref_merged_group_vpns(desc, vpn, fields):
+    rnd, _inter, intra = desc.position(vpn)
+    if not fields.extended or fields.merged_groups == 1:
+        return [v for v in (desc.vpn_at(rnd, j, intra)
+                            for j in range(desc.num_sharers))
+                if desc.contains(v)]
+    first = (vpn - fields.intra_gpu_coal_order
+             - desc.interlv_gran * fields.inter_gpu_coal_order)
+    return [v for j in range(desc.num_sharers)
+            for i in range(fields.merged_groups)
+            if desc.contains(v := first + desc.interlv_gran * j + i)]
+
+
+def _ref_candidate_vpns(pec_buffer, pasid, vpn, max_merge):
+    desc = pec_buffer.lookup(pasid, vpn)
+    if desc is None:
+        return []
+    rnd, _inter, intra = desc.position(vpn)
+    intra_lo = max(0, intra - (max_merge - 1))
+    intra_hi = min(desc.interlv_gran - 1, intra + (max_merge - 1))
+    candidates = []
+    for j in range(desc.num_sharers):
+        for i in range(intra_lo, intra_hi + 1):
+            candidate = desc.vpn_at(rnd, j, i)
+            if desc.contains(candidate):
+                candidates.append(candidate)
+    return candidates
+
+
+def _ref_group_key(pec_buffer, pasid, vpn):
+    desc = pec_buffer.lookup(pasid, vpn)
+    if desc is None:
+        return None
+    rnd, _inter, intra = desc.position(vpn)
+    return (desc.pasid, desc.data_id, rnd, intra)
+
+
+_BASES16 = tuple(0x10000 * (i + 1) for i in range(16))
+
+descriptors = st.builds(
+    lambda start, pages, gran, gpu_map: DataDescriptor(
+        data_id=7, pasid=0, start_vpn=start, end_vpn=start + pages - 1,
+        interlv_gran=gran, gpu_map=tuple(gpu_map)),
+    start=st.integers(min_value=0, max_value=300),
+    pages=st.integers(min_value=1, max_value=90),
+    gran=st.integers(min_value=1, max_value=9),
+    gpu_map=st.lists(st.integers(min_value=0, max_value=15), min_size=1,
+                     max_size=16, unique=True),
+)
+
+standard_fields = st.builds(
+    PteFields, present=st.just(True),
+    global_pfn=st.integers(min_value=0x100000, max_value=0x200000),
+    coal_bitmap=st.integers(min_value=0, max_value=0xFF),
+    inter_gpu_coal_order=st.integers(min_value=0, max_value=7))
+
+merged_fields = st.builds(
+    PteFields, present=st.just(True),
+    global_pfn=st.integers(min_value=0x100000, max_value=0x200000),
+    coal_bitmap=st.integers(min_value=0, max_value=0xF),
+    inter_gpu_coal_order=st.integers(min_value=0, max_value=3),
+    intra_gpu_coal_order=st.integers(min_value=0, max_value=3),
+    merged_groups=st.integers(min_value=1, max_value=4),
+    extended=st.just(True))
+
+any_fields = st.one_of(standard_fields, merged_fields)
+
+
+@settings(max_examples=300, deadline=None)
+@given(desc=descriptors, fields=any_fields, compact=st.booleans(),
+       pte_pick=st.integers(min_value=0, max_value=10_000))
+def test_property_screen_group_is_a_superset_of_answers(desc, fields, compact,
+                                                        pte_pick):
+    """No VPN outside ``merged_group_vpns ∪ {pte_vpn}`` is ever answered
+    (and the group itself matches its ``position()``-based reference).
+
+    This is what lets the IOMMU's PW-queue scan skip the PFN calculator for
+    non-members and count them as rejections in bulk.
+    """
+    pte_vpn = desc.start_vpn + pte_pick % desc.num_pages
+    members = merged_group_vpns(desc, pte_vpn, fields)
+    assert members == _ref_merged_group_vpns(desc, pte_vpn, fields)
+    group = set(members) | {pte_vpn}
+    for pending in range(desc.start_vpn - 12, desc.end_vpn + 13):
+        if pending in group:
+            continue
+        assert calculate_pending_pfn(desc, pte_vpn, fields, pending,
+                                     _BASES16, compact=compact) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(desc=descriptors, fields=any_fields, compact=st.booleans(),
+       pte_off=st.integers(min_value=-6, max_value=100),
+       pending_offs=st.lists(st.integers(min_value=-12, max_value=110),
+                             min_size=1, max_size=12),
+       short_bases=st.booleans())
+def test_property_inline_pfn_matches_reference(desc, fields, compact, pte_off,
+                                               pending_offs, short_bases):
+    """Same PFN, same None and same exception as the position()-based code,
+    for members, non-members and VPNs outside the data alike."""
+    bases = _BASES16[:4] if short_bases else _BASES16
+    pte_vpn = desc.start_vpn + pte_off
+    for off in pending_offs:
+        pending = desc.start_vpn + off
+        assert _outcome(calculate_pending_pfn, desc, pte_vpn, fields, pending,
+                        bases, compact=compact) == \
+            _outcome(_ref_calculate_pending_pfn, desc, pte_vpn, fields,
+                     pending, bases, compact=compact)
+
+
+@settings(max_examples=300, deadline=None)
+@given(desc=descriptors, offs=st.lists(st.integers(min_value=-8,
+                                                     max_value=100),
+                                       min_size=1, max_size=12),
+       max_merge=st.integers(min_value=0, max_value=5))
+def test_property_inline_candidates_and_group_key_match_reference(
+        desc, offs, max_merge):
+    buf = PecBuffer()
+    buf.insert(desc)
+    pec = PecLogic(buf, _BASES16)
+    for off in offs:
+        vpn = desc.start_vpn + off
+        assert pec.candidate_vpns(0, vpn, max_merge) == \
+            _ref_candidate_vpns(buf, 0, vpn, max_merge)
+        assert group_key(buf, 0, vpn) == _ref_group_key(buf, 0, vpn)
+        assert group_key(buf, 1, vpn) is None  # other PASID
+    assert pec.candidate_vpns(0, desc.start_vpn, max_merge) == \
+        _ref_candidate_vpns(buf, 0, desc.start_vpn, max_merge)
+
+
+@settings(max_examples=200, deadline=None)
+@given(desc=descriptors)
+def test_property_descriptor_identity_is_its_six_fields(desc):
+    """``round_pages`` is derived once and stays out of repr, eq and hash."""
+    values = (desc.data_id, desc.pasid, desc.start_vpn, desc.end_vpn,
+              desc.interlv_gran, desc.gpu_map)
+    assert desc.round_pages == desc.interlv_gran * len(desc.gpu_map)
+    assert repr(desc) == (
+        f"DataDescriptor(data_id={desc.data_id}, pasid={desc.pasid}, "
+        f"start_vpn={desc.start_vpn}, end_vpn={desc.end_vpn}, "
+        f"interlv_gran={desc.interlv_gran}, gpu_map={desc.gpu_map!r})")
+    assert hash(desc) == hash(values)
+    twin = DataDescriptor(*values)
+    assert twin == desc and hash(twin) == hash(desc)
+    wider = dataclasses.replace(desc, interlv_gran=desc.interlv_gran + 1)
+    assert wider != desc
+    assert wider.round_pages == (desc.interlv_gran + 1) * len(desc.gpu_map)
+
+
+def test_round_pages_is_derived_and_frozen():
+    d = data1()
+    assert d.round_pages == 12
+    assert repr(d) == ("DataDescriptor(data_id=1, pasid=0, start_vpn=1, "
+                       "end_vpn=12, interlv_gran=3, gpu_map=(0, 1, 2, 3))")
+    with pytest.raises(TypeError):
+        DataDescriptor(data_id=1, pasid=0, start_vpn=1, end_vpn=12,
+                       interlv_gran=3, gpu_map=(0, 1), round_pages=6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.round_pages = 5

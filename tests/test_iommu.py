@@ -15,7 +15,7 @@ from repro.memsim import AddressSpaceRegistry, PageTable, PteFields
 
 
 def simple_setup(num_ptws=2, walk_latency=100, barre=False, num_chiplets=4,
-                 scheduling=False, tlb_entries=0):
+                 scheduling=False, tlb_entries=0, pw_queue_entries=48):
     queue = EventQueue()
     mm = MemoryMap(num_chiplets=num_chiplets, frames_per_chiplet=4096)
     allocators = FrameAllocatorGroup(num_chiplets, 4096)
@@ -27,6 +27,7 @@ def simple_setup(num_ptws=2, walk_latency=100, barre=False, num_chiplets=4,
     iommu = Iommu(queue, IommuConfig(num_ptws=num_ptws,
                                      walk_latency=walk_latency,
                                      tlb_entries=tlb_entries,
+                                     pw_queue_entries=pw_queue_entries,
                                      coalescing_aware_scheduling=scheduling),
                   spaces, driver.pec_buffer, mm.chiplet_bases,
                   responses.append, barre_enabled=barre)
@@ -155,6 +156,73 @@ def test_vpn_gap_histogram_records_arrivals():
     assert iommu.vpn_gaps.total() == 2
     assert iommu.vpn_gaps.buckets[1] == 1
     assert iommu.vpn_gaps.buckets[4] == 1
+
+
+class TestPecScan:
+    """The walk-completion scan of the PW-queue (Section IV-F)."""
+
+    def test_reentrant_requests_survive_the_scan(self):
+        """A response that synchronously re-enters ``receive`` mid-scan (as
+        the GMMU handler does) must keep the new requests, in order."""
+        queue, driver, iommu, responses = simple_setup(
+            num_ptws=1, walk_latency=100, barre=True)
+        a = driver.malloc(AllocationRequest(data_id=1, pages=8, row_pages=2))
+        b = driver.malloc(AllocationRequest(data_id=2, pages=8, row_pages=2))
+        s, t = a.start_vpn, b.start_vpn
+        injected = []
+
+        def respond(response):
+            responses.append(response)
+            if response.source == "pec" and not injected:
+                # The walked VPN itself (answered by calculation) and a
+                # request of another data object.
+                injected.extend([req(s), req(t + 1)])
+                for request in injected:
+                    iommu.receive(request)
+
+        iommu.respond = respond
+        # Groups of data 1 (gran 2): {s, s+2, s+4, s+6} and {s+1, ...}.
+        for vpn in (s, s + 2, s + 1, s + 4, t, s + 6):
+            iommu.receive(req(vpn))
+        queue.run(until=100)
+        # The re-entrant dispatch took s+1, the next unscanned request; the
+        # scan then answered s+4, s+6 and the re-entrant s, and kept the
+        # other data's requests in arrival order.
+        assert [r.vpn for r in iommu._pending] == [t, t + 1]
+        assert list(iommu._walking) == [(0, s + 1)]
+        assert [r.vpn for r in responses] == [s, s + 2, s + 4, s + 6, s]
+        assert iommu.pec.stats.count("rejections") == 0
+        queue.run()
+        table = driver.spaces.get(0)
+        assert sorted(r.vpn for r in responses) == \
+            sorted([s, s, s + 1, s + 2, s + 4, s + 6, t, t + 1])
+        for resp in responses:
+            assert resp.global_pfn == table.walk(resp.vpn).global_pfn
+        assert iommu.stats.count("walks") == 4  # s, s+1, t, t+1
+        assert iommu.stats.count("pec_coalesced") == 4
+        assert iommu.pec.stats.count("calculations") == 4
+        assert iommu.pec.stats.count("rejections") == 1  # t+1 under t
+
+    def test_member_beyond_the_window_is_walked_not_rejected(self):
+        queue, driver, iommu, responses = simple_setup(
+            num_ptws=1, walk_latency=100, barre=True, pw_queue_entries=2)
+        a = driver.malloc(AllocationRequest(data_id=1, pages=4, row_pages=1))
+        b = driver.malloc(AllocationRequest(data_id=2, pages=4, row_pages=1))
+        s, t = a.start_vpn, b.start_vpn
+        # s+3 is in s's group but sits in the third queue slot, beyond the
+        # two entries the PEC logic sees.
+        for vpn in (s, t, t + 1, s + 3):
+            iommu.receive(req(vpn))
+        queue.run(until=100)
+        assert [r.vpn for r in iommu._pending] == [t + 1, s + 3]
+        assert iommu.pec.stats.count("calculations") == 0
+        assert iommu.pec.stats.count("rejections") == 0
+        queue.run()
+        sources = {r.vpn: r.source for r in responses}
+        assert sources == {s: "walk", t: "walk", t + 1: "pec", s + 3: "walk"}
+        assert iommu.stats.count("walks") == 3
+        assert iommu.pec.stats.count("calculations") == 1
+        assert iommu.pec.stats.count("rejections") == 0
 
 
 class TestScheduler:

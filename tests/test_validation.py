@@ -21,7 +21,7 @@ from repro.validation import (
     validate_point,
 )
 from repro.validation.differential import SCHEME_FACTORIES
-from repro.workloads import DataSpec, Workload
+from repro.workloads import DataSpec, Workload, get_workload
 
 
 def tiny_workload(pattern="stream", pages=48, pasid=0) -> Workload:
@@ -252,3 +252,44 @@ def test_fuzz_workloads_are_deterministic_and_varied():
     assert fuzz_workload(5).pattern == fuzz_workload(5).pattern
     patterns = {fuzz_workload(s).pattern for s in range(12)}
     assert len(patterns) >= 3
+
+
+# -- PEC counters --------------------------------------------------------------
+
+#: PEC and walk counters of three checked points, recorded before the IOMMU's
+#: PW-queue scan learned to screen by group membership and count rejections
+#: in bulk; they must not move.
+PINNED_PEC_COUNTERS = {
+    "barre-gemv": {"calculations": 72, "rejections": 3915,
+                   "descriptor_misses": 0, "walks": 245,
+                   "pec_coalesced": 72, "pec_checks": 72},
+    "fbarre-fft": {"calculations": 1148, "rejections": 12912,
+                   "descriptor_misses": 0, "walks": 447,
+                   "pec_coalesced": 338, "pec_checks": 1148},
+    # Fig 21's GMMU + Barre Chord configuration.
+    "mgvm-chord-spmv": {"calculations": 174, "rejections": 4035,
+                        "descriptor_misses": 0, "walks": 713,
+                        "pec_coalesced": 68, "pec_checks": 174},
+}
+
+_PEC_POINTS = {
+    "barre-gemv": (configs.barre, "gemv"),
+    "fbarre-fft": (configs.fbarre, "fft"),
+    "mgvm-chord-spmv": (lambda: configs.mgvm(barre_chord=True), "spmv"),
+}
+
+
+@pytest.mark.parametrize("point", sorted(PINNED_PEC_COUNTERS))
+def test_pec_counters_are_pinned(point):
+    factory, app = _PEC_POINTS[point]
+    sim = McmGpuSimulator(factory(), [get_workload(app)], trace_scale=0.08,
+                          check_invariants=True)
+    sim.run()
+    walkers = [sim.iommu] if sim.iommu is not None else list(sim.gmmus)
+    pecs = [w.pec for w in walkers] + [a.pec for a in sim.agents.values()]
+    got = {key: sum(p.stats.count(key) for p in pecs)
+           for key in ("calculations", "rejections", "descriptor_misses")}
+    for key in ("walks", "pec_coalesced"):
+        got[key] = sum(w.stats.count(key) for w in walkers)
+    got["pec_checks"] = sim.invariant_checker.stats.count("pec_checks")
+    assert got == PINNED_PEC_COUNTERS[point]
