@@ -11,9 +11,10 @@ The cache is safe under concurrent fill (the parallel sweep engine in
 
 * results are written to a temp file, fsynced and atomically renamed into
   place, so a reader never sees a torn JSON payload;
-* a per-key lockfile (``O_CREAT | O_EXCL``) makes sure two workers that
-  race on the same point simulate it once — the loser waits and reads the
-  winner's result;
+* a per-key ``flock`` makes sure two workers that race on the same point
+  simulate it once — the loser blocks and reads the winner's result.  The
+  kernel drops the lock when its holder dies, however it dies, so a killed
+  filler never leaves a lock that later fills wait on;
 * a file that does not decode anyway (a crash on a filesystem without
   ordered writes) is a miss: the next filler moves it to ``*.corrupt`` and
   simulates the point again.
@@ -24,14 +25,13 @@ Environment knobs (see docs/performance.md for the operations guide):
   slower but less noisy.
 * ``REPRO_CACHE_DIR`` — cache location (default ``<repo>/.bench_cache``).
 * ``REPRO_NO_CACHE=1`` — disable the cache entirely.
-* ``REPRO_LOCK_STALE`` — seconds after which another worker's lockfile is
-  presumed dead and stolen (default 1800).
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import fcntl
 import hashlib
 import json
 import os
@@ -57,13 +57,6 @@ _RESULT_FIELDS = [f.name for f in dataclasses.fields(SimResult)
 #: each warns once and then behaves like ``REPRO_NO_CACHE``.
 _UNWRITABLE: set[str] = set()
 
-#: Lockfile wait: capped exponential backoff, so a large fleet of losers
-#: parked on one hot key doesn't hammer ``stat()`` on the shared cache
-#: directory.  Starts fast (the common case is a near-finished winner) and
-#: settles at the cap for long simulations.
-_LOCK_POLL_INITIAL_S = 0.002
-_LOCK_POLL_MAX_S = 0.25
-
 #: Key-manifest directory: one small JSON file per cached point
 #: (``meta/keys/<digest>.json``) recording the key's *components* —
 #: sim version, app, scale, tag, canonical config JSON — and the host
@@ -80,10 +73,6 @@ _KEYS_SIDECAR = Path("meta") / "keys"
 def bench_scale() -> float:
     """Trace scale used by the benchmark harness."""
     return float(os.environ.get("REPRO_BENCH_SCALE", "0.4"))
-
-
-def _lock_stale_s() -> float:
-    return float(os.environ.get("REPRO_LOCK_STALE", "1800"))
 
 
 def _cache_dir(create: bool = False) -> Path | None:
@@ -225,8 +214,9 @@ def _write_key_manifest(path: Path, config: SimConfig, abbr: str,
     """Record a fill's key components (and its host seconds) next to the
     cache, best-effort.
 
-    Called only when a result was actually published, so hit paths pay
-    nothing.
+    Called only just before a result is published, so hit paths pay
+    nothing; a manifest whose payload never landed is not listed by the
+    catalog, and its seconds still price the refill.
     """
     digest = path.stem.rsplit("-", 1)[-1]
     manifest = path.parent / _KEYS_SIDECAR / f"{digest}.json"
@@ -287,26 +277,25 @@ SIMULATIONS = 0
 
 def _fill_point(path: Path | None, compute: Callable[[], SimResult],
                 key_meta: Callable[[], tuple] | None = None) -> SimResult:
-    """Return the cached result at ``path``, filling it under a lockfile.
+    """Return the cached result at ``path``, filling it under a key lock.
 
     Concurrency protocol (cache-stampede safety):
 
     1. cache hit → load and return;
-    2. try to create ``<path>.lock`` with ``O_CREAT | O_EXCL`` — exactly one
-       worker per key wins;
-    3. the winner re-checks the cache (it may have been filled while racing
-       for the lock), moves a file that does not decode to ``*.corrupt``,
-       simulates, atomically publishes, removes the lock;
-    4. losers wait with capped exponential backoff until the lock
-       disappears, then read the winner's file.  A lock older than
-       ``REPRO_LOCK_STALE`` seconds with no result is presumed to belong
-       to a crashed worker and is stolen.
+    2. take an exclusive ``flock`` on ``<path>.lock`` — one worker per key
+       holds it, the others block in the kernel;
+    3. the holder re-checks the cache (it may have been filled while it
+       waited), moves a file that does not decode to ``*.corrupt``,
+       simulates, publishes, then unlinks the lock file and closes it;
+    4. a waiter that gets the lock finds the holder's file in step 3.
 
-    Everyone but the lock holder treats an undecodable file as absent.
-    ``key_meta`` (a lazy ``() -> (config, abbr, scale, tag)``) lets the
-    winner record the point's key components and the seconds ``compute``
-    took in the key manifest after publishing; it is never invoked on a
-    hit.
+    A holder killed by any means loses its lock with its process; at
+    worst it leaves the lock *file*, which the next filler locks at once.
+    Only the lock holder quarantines an undecodable file.  ``key_meta``
+    (a lazy ``() -> (config, abbr, scale, tag)``) lets the holder record
+    the point's key components and the seconds ``compute`` took in the
+    key manifest, written before the payload so a kill between the two
+    leaves no payload without a manifest; it is never invoked on a hit.
     """
     global SIMULATIONS
     if path is None:
@@ -319,39 +308,39 @@ def _fill_point(path: Path | None, compute: Callable[[], SimResult],
         SIMULATIONS += 1
         return compute()
     lock = path.with_suffix(".lock")
-    while True:
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            delay = _LOCK_POLL_INITIAL_S
-            while lock.exists():
-                result = _try_load(path)
-                if result is not None:
-                    return result
-                with contextlib.suppress(FileNotFoundError):
-                    if time.time() - lock.stat().st_mtime > _lock_stale_s():
-                        lock.unlink(missing_ok=True)
-                        break
-                time.sleep(delay)
-                delay = min(delay * 2, _LOCK_POLL_MAX_S)
-            continue  # lock released or stolen: re-check under the lock
-        os.close(fd)
-        try:
-            result = _try_load(path)
-            if result is not None:  # filled while we raced for the lock
-                return result
-            if path.exists():
-                _quarantine(path)
-            start = time.perf_counter()
-            result = compute()
-            seconds = time.perf_counter() - start
-            _atomic_write(path, result)
-            SIMULATIONS += 1
-            if key_meta is not None:
-                _write_key_manifest(path, *key_meta(), seconds=seconds)
+    fd = _lock(lock)
+    try:
+        result = _try_load(path)
+        if result is not None:  # filled while we waited for the lock
             return result
-        finally:
-            lock.unlink(missing_ok=True)
+        if path.exists():
+            _quarantine(path)
+        start = time.perf_counter()
+        result = compute()
+        seconds = time.perf_counter() - start
+        if key_meta is not None:
+            _write_key_manifest(path, *key_meta(), seconds=seconds)
+        _atomic_write(path, result)
+        SIMULATIONS += 1
+        return result
+    finally:
+        lock.unlink(missing_ok=True)   # while held: see _lock
+        os.close(fd)
+
+
+def _lock(lock: Path) -> int:
+    """An open fd holding an exclusive ``flock`` on the file at ``lock``.
+
+    Holders unlink the file before they release it, so a waiter can wake
+    on an inode no longer at ``lock``; it then locks the current file.
+    """
+    while True:
+        fd = os.open(lock, os.O_CREAT | os.O_RDWR)
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        with contextlib.suppress(FileNotFoundError):
+            if os.fstat(fd).st_ino == os.stat(lock).st_ino:
+                return fd
+        os.close(fd)
 
 
 def _quarantine(path: Path) -> None:
@@ -441,8 +430,8 @@ def store_point(config: SimConfig, app: str | Workload, result: SimResult,
     path = _point_path(config, abbr, scale, workload_tag)
     if path is None or _cache_dir(create=True) is None:
         return None
-    _atomic_write(path, result)
     _write_key_manifest(path, config, abbr, scale, workload_tag)
+    _atomic_write(path, result)
     return path
 
 

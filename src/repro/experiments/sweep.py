@@ -340,7 +340,8 @@ def _run_serial(plan: list[PlannedPoint], reporter: _Progress,
 
 
 def _exit_on_sigterm(signum, frame) -> None:
-    # Unwind like an exception, so _fill_point's finally releases its lock.
+    # The kernel frees a dead worker's flock; unwinding like an exception
+    # also lets _fill_point's finally remove the lock file.
     raise SystemExit(128 + signum)
 
 
@@ -462,7 +463,7 @@ def _run_pool(plan: list[PlannedPoint], workers: int, reporter: _Progress,
         for proc in procs:
             if proc.is_alive():
                 # SIGTERM unwinds the worker (see _exit_on_sigterm), so
-                # a point cut short releases its fill lock.
+                # a point cut short removes its fill lock file.
                 proc.terminate()
                 proc.join(timeout=5)
             if proc.is_alive():

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import importlib
 import json
 import multiprocessing
 import os
 import re
+import signal
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -37,6 +40,7 @@ from repro.experiments.sweep import (
     sweep,
 )
 from repro.gpu.mcm import McmGpuSimulator
+from repro.obs import catalog
 from repro.workloads.suite import get_workload
 
 # The package re-exports the ``sweep`` function under the module's name.
@@ -339,10 +343,9 @@ class TestPool:
 
     def test_cancel_releases_fill_locks(self, cache, monkeypatch):
         """A pool stopped mid-point terminates its workers after the join
-        grace; each must release its per-key fill lock, so a re-sweep
-        simulates the points instead of waiting out REPRO_LOCK_STALE on
-        dead locks.  The stop comes from the failure path: one point
-        raises while the other sleeps inside its simulation."""
+        grace; each must remove its per-key fill lock file, and a re-sweep
+        simulates the points.  The stop comes from the failure path: one
+        point raises while the other sleeps inside its simulation."""
         real_run = McmGpuSimulator.run
 
         def fail_or_sleep(sim_self):
@@ -358,7 +361,6 @@ class TestPool:
             return real_run(sim_self)
 
         monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
-        monkeypatch.setenv("REPRO_LOCK_STALE", "600")
         monkeypatch.setattr(sweep_mod, "_JOIN_GRACE_S", 0.5)
         monkeypatch.setattr(McmGpuSimulator, "run", fail_or_sleep)
         survivor = SweepPoint(configs.baseline(), "gemv", SCALE)
@@ -518,29 +520,43 @@ class TestTornCacheFile:
     def test_lock_waiter_treats_torn_file_as_absent(self, cache,
                                                     monkeypatch):
         """Only the lock holder quarantines: a waiter that sees a torn
-        file keeps waiting and then reads the holder's result."""
+        file blocks on the holder's flock and then reads its result."""
         cfg = configs.baseline()
         path = runner_mod.point_path(cfg, "gemv", SCALE)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("")
         lock = path.with_suffix(".lock")
-        lock.touch()   # somebody else holds the fill lock
-        sleeps: list[float] = []
+        real_flock = fcntl.flock
+        held, waiting = threading.Event(), threading.Event()
+        waiter_flocks: list[int] = []
 
-        def fake_sleep(seconds: float) -> None:
-            sleeps.append(seconds)
-            if len(sleeps) == 3:   # the holder publishes and releases
-                runner_mod._atomic_write(path,
-                                         runner_mod._stub_result("gemv"))
-                lock.unlink()
+        def holder() -> None:
+            fd = os.open(lock, os.O_CREAT | os.O_RDWR)
+            real_flock(fd, fcntl.LOCK_EX)
+            held.set()
+            waiting.wait(timeout=30)
+            runner_mod._atomic_write(path, runner_mod._stub_result("gemv"))
+            lock.unlink()          # a holder unlinks, then releases
+            os.close(fd)
 
-        monkeypatch.setattr(time, "sleep", fake_sleep)
+        def waiter_flock(fd: int, operation: int) -> None:
+            waiter_flocks.append(fd)
+            waiting.set()
+            real_flock(fd, operation)
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        assert held.wait(timeout=30)
+        monkeypatch.setattr(fcntl, "flock", waiter_flock)
         before = runner_mod.SIMULATIONS
         result = run_point(cfg, "gemv", scale=SCALE)
+        thread.join(timeout=30)
         assert result.backend == "stub"
         assert runner_mod.SIMULATIONS == before
-        assert len(sleeps) == 3
         assert not path.with_suffix(".corrupt").exists()
+        # It woke on the unlinked inode, so it locked the path once more.
+        assert len(waiter_flocks) == 2
+        assert not lock.exists()
 
 
 class TestProgressEta:
@@ -575,31 +591,6 @@ class TestProgressEta:
         assert "1/1 points" in err, "the line froze one point short"
 
 
-class TestLockBackoff:
-    def test_loser_backs_off_exponentially_to_cap(self, cache, monkeypatch):
-        cfg = configs.baseline()
-        path = runner_mod.point_path(cfg, "gemv", SCALE)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lock = path.with_suffix(".lock")
-        lock.touch()   # somebody else holds the fill lock
-        delays: list[float] = []
-
-        def fake_sleep(seconds: float) -> None:
-            delays.append(seconds)
-            if len(delays) == 10:   # the winner publishes and releases
-                runner_mod._atomic_write(path,
-                                         runner_mod._stub_result("gemv"))
-                lock.unlink()
-
-        monkeypatch.setattr(time, "sleep", fake_sleep)
-        result = run_point(cfg, "gemv", scale=SCALE)
-        assert result.app == "gemv"
-        assert delays[:4] == [0.002, 0.004, 0.008, 0.016], (
-            "backoff must start fast and double")
-        assert max(delays) == 0.25, "backoff must cap, not grow unbounded"
-        assert delays[-1] == 0.25
-
-
 def _sweep_same_point(cache_dir: str, out_path: str, jobs: int,
                       private_app: str | None) -> None:
     """Subprocess entry: sweep the shared gemv point (plus ``private_app``,
@@ -619,8 +610,8 @@ class TestConcurrentSameKeyFill:
     def test_two_processes_filling_one_key_simulate_once(
             self, cache, tmp_path, monkeypatch, jobs):
         """Two independent sweeps race on the *same* cache key: the
-        per-key lockfile (with its capped backoff) must collapse them to
-        one simulation, on the inline path and inside pool workers."""
+        per-key fill lock must collapse them to one simulation, on the
+        inline path and inside pool workers."""
         log = tmp_path / "simulations.log"
 
         real_run = McmGpuSimulator.run
@@ -656,6 +647,106 @@ class TestConcurrentSameKeyFill:
         assert not list(cache.glob("*.lock")), "stale lockfile left behind"
 
 
+def _die(*_args, **_kwargs) -> None:
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _die_after(real):
+    def wrapper(*args, **kwargs):
+        real(*args, **kwargs)
+        _die()
+    return wrapper
+
+
+def _die_mid_payload_write(path: Path, result) -> None:
+    data = json.dumps(_serialize(result))
+    path.with_suffix(f".{os.getpid()}.tmp").write_text(data[:len(data) // 2])
+    _die()
+
+
+#: Steps of a fill at which a filling process is SIGKILLed, each as the
+#: patch that kills it there.
+_KILL_POINTS = {
+    "holding-lock": lambda: setattr(McmGpuSimulator, "run", _die),
+    "mid-payload-write": lambda: setattr(runner_mod, "_atomic_write",
+                                         _die_mid_payload_write),
+    "manifest-not-payload": lambda: setattr(
+        runner_mod, "_write_key_manifest",
+        _die_after(runner_mod._write_key_manifest)),
+    "payload-not-unlocked": lambda: setattr(
+        runner_mod, "_atomic_write", _die_after(runner_mod._atomic_write)),
+}
+
+
+def _sweep_gemv(cache_dir: str, kill_point: str | None = None,
+                out_path: str | None = None) -> None:
+    """Subprocess entry: sweep baseline gemv, SIGKILLed at ``kill_point``
+    if given; write the number of points simulated to ``out_path``."""
+    os.environ["REPRO_CACHE_DIR"] = cache_dir
+    if kill_point is not None:
+        _KILL_POINTS[kill_point]()
+    out = sweep([SweepPoint(configs.baseline(), "gemv", SCALE)],
+                jobs=1, progress=False)
+    Path(out_path).write_text(str(out.stats.simulated))
+
+
+class TestCrashHeal:
+    """A filler killed by SIGKILL at any step of its fill must not stall
+    the next sweep of its key, nor leave an entry that differs from the
+    golden payload or that the catalog cannot decode."""
+
+    @pytest.mark.parametrize("kill_point", list(_KILL_POINTS))
+    def test_killed_filler_heals(self, cache, tmp_path, kill_point):
+        victim = multiprocessing.get_context("fork").Process(
+            target=_sweep_gemv, args=(str(cache), kill_point))
+        victim.start()
+        victim.join(timeout=60)
+        assert victim.exitcode == -signal.SIGKILL
+        self._assert_heals(cache, tmp_path)
+
+    def test_killed_pool_worker_heals(self, cache, tmp_path, monkeypatch):
+        real_run = McmGpuSimulator.run
+
+        def die_on_gemv(sim_self):
+            if sim_self.workloads[0].abbr == "gemv":
+                _die()
+            return real_run(sim_self)
+
+        # Workers fork from this process, so the patch rides along.
+        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        monkeypatch.setattr(McmGpuSimulator, "run", die_on_gemv)
+        points = [SweepPoint(configs.baseline(), app, SCALE)
+                  for app in ("gemv", "fft")]
+        with pytest.raises(RuntimeError, match="sweep worker crashed"):
+            sweep(points, jobs=2, progress=False)
+        monkeypatch.setattr(McmGpuSimulator, "run", real_run)
+        self._assert_heals(cache, tmp_path)
+
+    @staticmethod
+    def _assert_heals(cache: Path, tmp_path: Path) -> None:
+        out = tmp_path / "simulated.txt"
+        healer = multiprocessing.get_context("fork").Process(
+            target=_sweep_gemv, args=(str(cache), None, str(out)))
+        healer.start()
+        healer.join(timeout=30)
+        if healer.is_alive():
+            healer.kill()
+            healer.join()
+            pytest.fail("the sweep after the kill did not finish in 30 s")
+        assert healer.exitcode == 0
+        golden = json.loads(
+            (REPO / "tests" / "golden" / "baseline-gemv.json").read_text())
+        path = runner_mod.point_path(configs.baseline(), "gemv", SCALE)
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == golden["cache_payload_sha256"])
+        (entry,) = [e for e in catalog.scan(cache) if e.app == "gemv"]
+        assert (entry.sim_version, entry.scale) == (runner_mod.SIM_VERSION,
+                                                    SCALE)
+        assert entry.seconds > 0
+        if out.read_text() == "1":   # the healer refilled the point
+            assert not list(cache.glob("*.lock"))
+
+
 class TestDocsMatchCode:
     def test_every_documented_knob_exists_in_source(self):
         doc = (REPO / "docs" / "performance.md").read_text()
@@ -668,3 +759,11 @@ class TestDocsMatchCode:
         for knob in sorted(knobs):
             assert knob in source, (
                 f"docs/performance.md documents {knob} but no code reads it")
+        # And the reverse: every knob src/ reads has a knob-table row.
+        table = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", doc, re.M))
+        read = set(re.findall(
+            r"os\.environ(?:\.get\(|\[)\s*[\"'](REPRO_[A-Z_]+)", source))
+        assert {"REPRO_JOBS", "REPRO_CACHE_DIR"} <= read
+        assert read <= table, (
+            f"src/ reads {sorted(read - table)} but the docs/performance.md "
+            f"knob table does not list them")
