@@ -5,8 +5,9 @@ unlike a Bloom filter — supports deletion, which F-Barre needs because
 filters must track TLB insertions *and* evictions (Section V-A1).
 
 The implementation is deterministic: hashing is a fixed 64-bit mixer, and
-eviction victims are chosen round-robin per bucket, so simulations replay
-identically for a given seed.
+each kick takes its victim slot from one cursor per filter, advanced by
+every kick (``slot = cursor % ways``), so simulations replay identically
+for a given seed.
 
 Determinism also lets identical replicas share work.  A filter fed a
 numbered stream of batches (:meth:`CuckooFilter.apply_batch`) is, before
@@ -32,23 +33,63 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+#: Widest fingerprint whose table is built whole (65,536 entries).
+_FP_XOR_LIST_MAX_BITS = 16
+
+
+class _LazyXorTable(dict):
+    """``_mix64(fp) & row_mask``, computed the first time ``fp`` is read."""
+
+    def __init__(self, row_mask: int) -> None:
+        super().__init__()
+        self.row_mask = row_mask
+
+    def __missing__(self, fp: int) -> int:
+        value = self[fp] = _mix64(fp) & self.row_mask
+        return value
+
+
 #: ``_mix64(fp) & row_mask`` for every possible fingerprint, keyed by
 #: (fingerprint_bits, row_mask).  The alternate-bucket hash is recomputed
 #: on every filter operation and every kick; the fingerprint space is tiny
 #: (2**fingerprint_bits values), so one shared table per geometry replaces
 #: the mixer on that path.  Masking inside the table is exact because the
 #: row count is a power of two: ``(i ^ mix) & mask == i ^ (mix & mask)``
-#: for any in-range row index ``i``.
-_FP_XOR_TABLES: dict[tuple[int, int], list[int]] = {}
+#: for any in-range row index ``i``.  Widths above
+#: ``_FP_XOR_LIST_MAX_BITS`` get a table filled on first use instead.
+_FP_XOR_TABLES: dict[tuple[int, int], list[int] | _LazyXorTable] = {}
 
 
-def _fp_xor_table(fingerprint_bits: int, row_mask: int) -> list[int]:
+def _fp_xor_table(fingerprint_bits: int,
+                  row_mask: int) -> list[int] | _LazyXorTable:
     key = (fingerprint_bits, row_mask)
     table = _FP_XOR_TABLES.get(key)
     if table is None:
-        table = [_mix64(fp) & row_mask for fp in range(1 << fingerprint_bits)]
+        if fingerprint_bits > _FP_XOR_LIST_MAX_BITS:
+            table = _LazyXorTable(row_mask)
+        else:
+            table = [_mix64(fp) & row_mask
+                     for fp in range(1 << fingerprint_bits)]
         _FP_XOR_TABLES[key] = table
     return table
+
+
+#: Entries one geometry's hash memo may hold before it is emptied: about
+#: twice the 8,256 items F-Barre gups and spmv hash at scale 1.0.  A full
+#: memo takes about 2.7 MB, and a worker keeps one per geometry it ran.
+_HASH_MEMO_CAP = 1 << 14
+
+#: ``{item: (fp, i1, i2)}`` per (fingerprint_bits, row_mask), shared by
+#: every filter of that geometry.  A filter's hashes are a pure function
+#: of the item and the geometry, so a hit returns exactly what the mixer
+#: would, and emptying a full memo (in place, so every sharer sees it)
+#: only costs recomputation; it can never change a result.
+_HASH_MEMOS: dict[tuple[int, int], dict[int, tuple[int, int, int]]] = {}
+
+
+def _hash_memo(fingerprint_bits: int,
+               row_mask: int) -> dict[int, tuple[int, int, int]]:
+    return _HASH_MEMOS.setdefault((fingerprint_bits, row_mask), {})
 
 
 @dataclass(slots=True, frozen=True)
@@ -89,6 +130,8 @@ class CuckooFilter:
         self._fp_mask = (1 << self.config.fingerprint_bits) - 1
         self._fp_xor = _fp_xor_table(self.config.fingerprint_bits,
                                      self._row_mask)
+        self._hashes = _hash_memo(self.config.fingerprint_bits,
+                                  self._row_mask)
         self._ways = self.config.ways
         self._max_kicks = self.config.max_kicks
         self._kick_cursor = 0
@@ -116,9 +159,13 @@ class CuckooFilter:
         return index1 ^ self._fp_xor[fp]
 
     def _candidate_rows(self, item: int) -> tuple[int, int, int]:
-        # Runs on every filter operation: SplitMix64 is inlined for the two
-        # item hashes (identical arithmetic to _mix64) and the fp hash comes
-        # from the precomputed table.
+        """``(fp, i1, i2)`` for ``item``, from the geometry's memo."""
+        return self._hashes.get(item) or self._hash(item)
+
+    def _hash(self, item: int) -> tuple[int, int, int]:
+        # Memo miss: SplitMix64 is inlined for the two item hashes
+        # (identical arithmetic to _mix64) and the fp hash comes from the
+        # precomputed table.
         x = (item * 2 + 1 + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
         x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
@@ -127,7 +174,12 @@ class CuckooFilter:
         x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
         i1 = (x ^ (x >> 31)) & self._row_mask
-        return fp, i1, i1 ^ self._fp_xor[fp]
+        rows = (fp, i1, i1 ^ self._fp_xor[fp])
+        memo = self._hashes
+        if len(memo) >= _HASH_MEMO_CAP:
+            memo.clear()
+        memo[item] = rows
+        return rows
 
     # -- operations --------------------------------------------------------
 
@@ -139,8 +191,14 @@ class CuckooFilter:
         return self._size / self.config.capacity
 
     def contains(self, item: int) -> bool:
-        """Membership test; false positives possible, negatives exact."""
-        fp, i1, i2 = self._candidate_rows(item)
+        """Membership test; false positives possible.
+
+        A negative is exact only for a key whose insert succeeded and whose
+        fingerprint no aliasing delete (same fingerprint, shared row) has
+        since removed; :class:`repro.validation.invariants.CheckedCuckooFilter`
+        demotes such aliased keys instead of reporting a false negative.
+        """
+        fp, i1, i2 = self._hashes.get(item) or self._hash(item)
         return fp in self._buckets[i1] or fp in self._buckets[i2]
 
     def insert(self, item: int, touched: set[int] | None = None) -> bool:
@@ -151,7 +209,7 @@ class CuckooFilter:
         given, collects every row whose contents changed.
         """
         self._next_seq = None
-        fp, i1, i2 = self._candidate_rows(item)
+        fp, i1, i2 = self._hashes.get(item) or self._hash(item)
         buckets = self._buckets
         bucket = buckets[i1]
         if len(bucket) < self._ways:
@@ -207,7 +265,7 @@ class CuckooFilter:
     def delete(self, item: int, touched: set[int] | None = None) -> bool:
         """Delete one matching fingerprint; returns whether one was found."""
         self._next_seq = None
-        fp, i1, i2 = self._candidate_rows(item)
+        fp, i1, i2 = self._hashes.get(item) or self._hash(item)
         for row in (i1, i2):
             bucket = self._buckets[row]
             if fp in bucket:
