@@ -1,9 +1,12 @@
-"""Hot-path microbenchmark suite + perf gate.
+"""Hot-path microbenchmarks perfbench cannot resolve + their perf gate.
 
-Times the inner loops every simulation point spends its cycles in — the
-event kernel, TLB probes, MSHR churn, cuckoo-filter ops, global-PFN math —
-plus one full figure point as the end-to-end sanity check.  Each benchmark
-is run ``ROUNDS`` times and reports the **median**, so one scheduler hiccup
+Times the loops whose regressions are too small a share of a whole point
+for perfbench (``perfbench/run.py``) to resolve — TLB probes, TLB fills
+under eviction, MSHR churn — and the sweep's cost-model planner over 512
+misses.  The event kernel, the cuckoo filters and whole points are timed
+by perfbench, which CI runs against the parent commit
+(docs/performance.md, "The perf gate").  Each benchmark is run
+``ROUNDS`` times and reports the **median**, so one scheduler hiccup
 cannot fail a gate.
 
 Because absolute seconds are machine-bound, every result also carries a
@@ -36,64 +39,32 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-from repro.common.addresses import split_global_pfn
-from repro.common.config import CuckooConfig, TlbConfig
-from repro.common.events import EventQueue
-from repro.filters.cuckoo import CuckooFilter
+from repro.common.config import TlbConfig
+from repro.experiments import configs
+from repro.experiments.sweep import SweepPoint, plan_misses
 from repro.memsim.tlb import MshrFile, Tlb, TlbEntry
 
 ROUNDS = 3
 DEFAULT_TOLERANCE = 0.25
 #: Iterations of one calibration burst (60-95 ms on a shared 2-vCPU VM).
 CALIB_ITERS = 400_000
+#: Plans per ``plan_misses_512`` round (~50 ms or more per round).
+PLAN_REPEATS = 2
+#: The apps ``plan_misses_512`` cycles through, each with filled points.
+PLAN_APPS = ("gemv", "fft", "atax", "bicg", "pr", "corr")
 
 
 # --------------------------------------------------------------------------
 # Benchmarks.  Each returns the number of core operations it performed so
 # the table can show ns/op; timing is done by the harness around the call.
 # --------------------------------------------------------------------------
-
-def bench_event_queue_mixed() -> int:
-    """Schedule/fire chains with mixed delays across 64 logical streams."""
-    q = EventQueue()
-    streams, per = 64, 1500
-    counts = [per] * streams
-
-    def make(i: int):
-        def cb() -> None:
-            counts[i] -= 1
-            if counts[i]:
-                q.schedule((i + counts[i]) % 13, cb)
-        return cb
-
-    for i in range(streams):
-        q.schedule(i % 5, make(i))
-    q.run()
-    assert q.events_fired == streams * per
-    return streams * per
-
-
-def bench_event_queue_zero_chain() -> int:
-    """Same-cycle dispatch chains: the zero-delay handler-to-handler path."""
-    q = EventQueue()
-    n = 60_000
-    left = [n]
-
-    def cb() -> None:
-        left[0] -= 1
-        if left[0]:
-            q.schedule(0 if left[0] % 8 else 1, cb)
-
-    q.schedule(0, cb)
-    q.run()
-    assert q.events_fired == n
-    return n
-
 
 def bench_tlb_hit() -> int:
     """Direct-hit probes on a warm L2-shaped TLB (LRU bump every access)."""
@@ -140,57 +111,29 @@ def bench_mshr_cycle() -> int:
     return n
 
 
-def bench_cuckoo_ops() -> int:
-    """insert/contains/delete mix at moderate load (the LCF/RCF pattern)."""
-    f = CuckooFilter(CuckooConfig())
-    batch, rounds = 700, 40
-    for r in range(rounds):
-        base = r * batch
-        for v in range(base, base + batch):
-            f.insert(v)
-        hits = 0
-        for v in range(base, base + 2 * batch):
-            if f.contains(v):
-                hits += 1
-        assert hits >= batch  # no false negatives for resident keys
-        for v in range(base, base + batch):
-            f.delete(v)
-    return rounds * batch * 4
+def bench_plan_misses() -> int:
+    """The cost-model planner over a synthetic 512-point miss list.
 
-
-def bench_global_pfn_split() -> int:
-    """Global PFN -> (chiplet, local frame) decomposition."""
-    bases = tuple(i * 65_536 for i in range(4))
-    n = 60_000
-    for i in range(n):
-        pfn = (i * 2_654_435_761) % (4 * 65_536)
-        g = split_global_pfn(pfn, bases, 65_536)
-        assert 0 <= g.chiplet < 4
-    return n
-
-
-def bench_full_point() -> int:
-    """One full figure point: F-Barre gemv, untraced (the end-to-end path)."""
-    from repro.experiments import configs
-    from repro.gpu.mcm import McmGpuSimulator
-    from repro.workloads.suite import get_workload
-
-    sim = McmGpuSimulator(configs.fbarre(), [get_workload("gemv")],
-                          trace_scale=0.2)
-    result = sim.run()
-    assert result.cycles > 0
-    return sim.queue.events_fired
+    Keying and planning 512 points takes ~35 ms; ``PLAN_REPEATS`` of them
+    make a round long enough to average out scheduler jitter.
+    """
+    base = configs.baseline()
+    for _ in range(PLAN_REPEATS):
+        misses = []
+        for i in range(512):
+            point = SweepPoint(base, PLAN_APPS[i % len(PLAN_APPS)], 0.05,
+                               workload_tag=f"bench{i}")
+            misses.append((point.key(), point))
+        plan = plan_misses(misses, workers=4)
+        assert len(plan) == 512
+    return 512 * PLAN_REPEATS
 
 
 BENCHES = {
-    "event_queue_mixed": bench_event_queue_mixed,
-    "event_queue_zero_chain": bench_event_queue_zero_chain,
     "tlb_hit": bench_tlb_hit,
     "tlb_insert_evict": bench_tlb_insert_evict,
     "mshr_cycle": bench_mshr_cycle,
-    "cuckoo_ops": bench_cuckoo_ops,
-    "global_pfn_split": bench_global_pfn_split,
-    "full_point": bench_full_point,
+    "plan_misses_512": bench_plan_misses,
 }
 
 
@@ -273,7 +216,17 @@ def main(argv: list[str] | None = None) -> int:
                         help="allowed normalized regression (default 0.25)")
     args = parser.parse_args(argv)
 
-    payload = run_benches()
+    # The planner reads fill seconds from the cache's key manifests: give
+    # it two filled points per app, so it estimates by app median.
+    with tempfile.TemporaryDirectory(prefix="repro-bench-plan-") as cache:
+        keys = Path(cache) / "meta" / "keys"
+        keys.mkdir(parents=True)
+        for i, app in enumerate(PLAN_APPS * 2):
+            (keys / f"filled{i}.json").write_text(
+                json.dumps({"app": app, "seconds": 1.0 + i}))
+        os.environ["REPRO_CACHE_DIR"] = cache
+        os.environ.pop("REPRO_NO_CACHE", None)
+        payload = run_benches()
     print(format_table(payload))
     if args.json:
         Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")

@@ -9,8 +9,6 @@ chiplet owns a disjoint base window (Fig 7a's "global PFN map").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.errors import AddressError
 
 #: Width of a virtual page number in bits (Section V-A2).
@@ -46,90 +44,3 @@ def vpn_of(vaddr: int, page_size: int = PAGE_SIZE_4K) -> int:
     if vaddr < 0:
         raise AddressError(f"negative virtual address {vaddr:#x}")
     return vaddr // page_size
-
-
-@dataclass(frozen=True, slots=True)
-class GlobalPfn:
-    """A physical frame decomposed into its chiplet and local frame.
-
-    The paper's PFN calculation (Section IV-F) repeatedly moves between the
-    global PFN written in the PTE and the (chiplet, local PFN) pair; this
-    small value type keeps that conversion in one place.
-    """
-
-    chiplet: int
-    local_pfn: int
-
-    def to_global(self, chiplet_bases: tuple[int, ...]) -> int:
-        """Recombine into a flat global PFN using per-chiplet bases."""
-        if not 0 <= self.chiplet < len(chiplet_bases):
-            raise AddressError(f"chiplet {self.chiplet} has no base PFN")
-        return chiplet_bases[self.chiplet] + self.local_pfn
-
-
-def split_global_pfn(global_pfn: int, chiplet_bases: tuple[int, ...],
-                     frames_per_chiplet: int) -> GlobalPfn:
-    """Decompose a global PFN into (chiplet, local PFN).
-
-    ``chiplet_bases`` must be sorted ascending and spaced at least
-    ``frames_per_chiplet`` apart, which :class:`repro.common.config.MemoryMap`
-    guarantees.
-    """
-    # Contiguous windows (the MemoryMap layout) resolve by division; the
-    # verification below makes this safe for any legal bases, since the
-    # windows are disjoint — a guessed index either verifies or we scan.
-    chiplet = global_pfn // frames_per_chiplet
-    if 0 <= chiplet < len(chiplet_bases):
-        base = chiplet_bases[chiplet]
-        if base <= global_pfn < base + frames_per_chiplet:
-            return GlobalPfn(chiplet=chiplet, local_pfn=global_pfn - base)
-    for chiplet, base in enumerate(chiplet_bases):
-        if base <= global_pfn < base + frames_per_chiplet:
-            return GlobalPfn(chiplet=chiplet, local_pfn=global_pfn - base)
-    raise AddressError(f"global PFN {global_pfn:#x} not in any chiplet window")
-
-
-class PfnGeometry:
-    """Mask/shift constants for one machine's PFN map, computed once.
-
-    The per-access translation path repeatedly needs "which chiplet owns
-    this global PFN" and "what is its local frame".  With the standard
-    contiguous layout and a power-of-two window these are a shift and a
-    mask; this object resolves the spelling once per config instead of
-    per access.
-    """
-
-    __slots__ = ("chiplet_bases", "frames_per_chiplet", "num_chiplets",
-                 "shift", "mask")
-
-    def __init__(self, chiplet_bases: tuple[int, ...],
-                 frames_per_chiplet: int) -> None:
-        self.chiplet_bases = chiplet_bases
-        self.frames_per_chiplet = frames_per_chiplet
-        self.num_chiplets = len(chiplet_bases)
-        contiguous = all(base == i * frames_per_chiplet
-                         for i, base in enumerate(chiplet_bases))
-        shift = frames_per_chiplet.bit_length() - 1
-        if contiguous and (1 << shift) == frames_per_chiplet:
-            self.shift = shift
-            self.mask = frames_per_chiplet - 1
-        else:
-            self.shift = None
-            self.mask = None
-
-    def owner_of(self, global_pfn: int) -> int:
-        """Chiplet owning ``global_pfn`` (no range check on the fast path)."""
-        if self.shift is not None:
-            return global_pfn >> self.shift
-        return global_pfn // self.frames_per_chiplet
-
-    def split(self, global_pfn: int) -> GlobalPfn:
-        if self.shift is not None:
-            chiplet = global_pfn >> self.shift
-            if 0 <= chiplet < self.num_chiplets:
-                return GlobalPfn(chiplet=chiplet,
-                                 local_pfn=global_pfn & self.mask)
-            raise AddressError(
-                f"global PFN {global_pfn:#x} not in any chiplet window")
-        return split_global_pfn(global_pfn, self.chiplet_bases,
-                                self.frames_per_chiplet)

@@ -269,9 +269,10 @@ class _Progress:
 
     The ETA multiplies the measured per-miss rate by the *misses still
     unfinished* only — cache hits are settled before the first update and
-    never inflate it — divided by the workers currently running.  The
-    callers emit a final update after the last miss completes, so the
-    line reaches ``total/total`` instead of freezing one point short.
+    never inflate it.  The rate is elapsed wall time per finished miss,
+    so it already reflects how many workers run at once.  The callers
+    emit a final update after the last miss completes, so the line
+    reaches ``total/total`` instead of freezing one point short.
     """
 
     def __init__(self, total: int, cached: int, enabled: bool | None = None):
@@ -281,7 +282,7 @@ class _Progress:
         self.start = time.perf_counter()
         self._drawn = False
 
-    def eta(self, done: int, running: int) -> float | None:
+    def eta(self, done: int) -> float | None:
         """Seconds until the remaining misses finish, or None.
 
         No outstanding misses — an all-cached sweep's very first update,
@@ -295,13 +296,13 @@ class _Progress:
             return 0.0
         if simulated > 0:
             rate = (time.perf_counter() - self.start) / simulated
-            return rate * misses_left / max(1, running)
+            return rate * misses_left
         return None
 
     def update(self, done: int, running: int) -> None:
         if not self.enabled or not self.total:
             return
-        eta = self.eta(done, running)
+        eta = self.eta(done)
         eta = "" if eta is None else f", ETA {eta:.0f}s"
         line = (f"[sweep] {done}/{self.total} points "
                 f"({self.cached} cached, {running} running{eta})")

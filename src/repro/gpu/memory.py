@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.common.addresses import PfnGeometry
 from repro.common.config import MemoryMap
 from repro.common.events import EventQueue
 from repro.common.stats import StatSet
@@ -39,12 +38,13 @@ class MemoryFabric:
         self._obs_counts = self.stats.sample_counts
         self._schedule = queue.schedule
         self._dram_free = [0] * memory_map.num_chiplets
-        # Owner lookup runs once per data access: precompute the window
-        # geometry instead of chasing memory_map attributes every time.
-        self._geometry = PfnGeometry(memory_map.chiplet_bases,
-                                     memory_map.frames_per_chiplet)
-        self._owner_shift = self._geometry.shift
-        self._frames_per_chiplet = memory_map.frames_per_chiplet
+        # Owner lookup runs once per data access.  Chiplet windows are
+        # contiguous (MemoryMap.chiplet_bases), so a power-of-two window
+        # resolves by shift; any other size falls back to division.
+        frames = memory_map.frames_per_chiplet
+        self._owner_shift = (frames.bit_length() - 1
+                             if frames & (frames - 1) == 0 else None)
+        self._frames_per_chiplet = frames
         #: Observer for the migration engine: (accessor, owner, global_pfn).
         self.on_access: Callable[[int, int, int], None] | None = None
 

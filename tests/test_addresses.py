@@ -4,13 +4,11 @@ import pytest
 
 from repro.common import (
     AddressError,
-    GlobalPfn,
     MAX_VPN,
     PAGE_SIZE_2M,
     PAGE_SIZE_4K,
     check_vpn,
     pages_for_bytes,
-    split_global_pfn,
     vpn_of,
 )
 
@@ -47,22 +45,3 @@ def test_vpn_of_page_sizes():
     assert vpn_of(PAGE_SIZE_2M - 1, PAGE_SIZE_2M) == 0
     with pytest.raises(AddressError):
         vpn_of(-5)
-
-
-def test_global_pfn_roundtrip():
-    bases = (0, 1000, 2000, 3000)
-    g = GlobalPfn(chiplet=2, local_pfn=17)
-    flat = g.to_global(bases)
-    assert flat == 2017
-    assert split_global_pfn(flat, bases, frames_per_chiplet=1000) == g
-
-
-def test_split_global_pfn_rejects_gaps():
-    bases = (0, 1000)
-    with pytest.raises(AddressError):
-        split_global_pfn(5000, bases, frames_per_chiplet=1000)
-
-
-def test_global_pfn_rejects_unknown_chiplet():
-    with pytest.raises(AddressError):
-        GlobalPfn(chiplet=9, local_pfn=0).to_global((0, 100))

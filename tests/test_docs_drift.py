@@ -41,3 +41,16 @@ def test_checker_enumerates_from_live_code():
     cmds = drift.cli_subcommands()
     assert "sweep" in cmds and "validate" in cmds and "explore" in cmds
     assert "serve" not in cmds
+
+
+def test_dangling_file_references_are_named():
+    """A doc naming a deleted file fails; globs and real files pass."""
+    sys.path.insert(0, str(REPO / "scripts"))
+    try:
+        import check_docs_drift as drift
+    finally:
+        sys.path.pop(0)
+    text = ("run `scripts/no_such_gate.py`, then `tests/test_sweep.py::X`,\n"
+            "`pytest benchmarks/bench_fig*.py` and `src/repro/gpu`.")
+    assert drift.dangling_paths({Path("doc.md"): text}) == [
+        "doc.md: scripts/no_such_gate.py"]

@@ -13,9 +13,9 @@ from repro.memsim import AddressSpaceRegistry, Mesh
 from repro.migration import MigrationEngine
 
 
-def make_fabric(dram=100, mesh_latency=32):
+def make_fabric(dram=100, mesh_latency=32, frames_per_chiplet=1000):
     q = EventQueue()
-    mm = MemoryMap(num_chiplets=4, frames_per_chiplet=1000)
+    mm = MemoryMap(num_chiplets=4, frames_per_chiplet=frames_per_chiplet)
     mesh = Mesh(q, LinkConfig(latency=mesh_latency, cycles_per_packet=1), 4)
     return q, MemoryFabric(q, mm, mesh, dram_latency=dram)
 
@@ -45,6 +45,12 @@ def test_owner_of_uses_frame_windows():
     assert fabric.owner_of(999) == 0
     assert fabric.owner_of(1000) == 1
     assert fabric.owner_of(3999) == 3
+    # A power-of-two window resolves by shift instead of division.
+    _q, fabric = make_fabric(frames_per_chiplet=1024)
+    assert fabric._owner_shift == 10
+    assert fabric.owner_of(1023) == 0
+    assert fabric.owner_of(1024) == 1
+    assert fabric.owner_of(4095) == 3
 
 
 def test_on_access_hook_fires():

@@ -341,6 +341,49 @@ class TestPool:
         assert "Traceback (most recent call last)" in str(err.value)
         assert "ValueError: injected point failure" in str(err.value)
 
+    def test_pool_results_come_back_through_the_cache(self, cache,
+                                                      monkeypatch):
+        """Thin wire: with a writable cache a worker ships only its timing,
+        and the parent reads each result back from the cache."""
+        reads = []
+        real_cached_result = runner_mod.cached_result
+
+        def counting(*args, **kwargs):
+            result = real_cached_result(*args, **kwargs)
+            reads.append(result is not None)
+            return result
+
+        # Workers fork with the patch, but their appends stay in the child.
+        monkeypatch.setattr(runner_mod, "cached_result", counting)
+        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        out = sweep(_scheme_points(), jobs=2, progress=False)
+        assert out.stats.jobs == 2
+        # One miss probe per point while deduplicating, then one read-back
+        # per pool result.
+        assert reads == [False] * 4 + [True] * 4
+
+    def test_pool_runs_both_workers_and_reuses_traces(self, cache,
+                                                      monkeypatch):
+        """Both workers simulate, and each builds a group's CTA traces
+        once; only a point stolen from a peer's queue may build its
+        group's traces again."""
+        from repro.gpu import mcm
+        mcm.TRACE_MEMO.clear()   # workers fork with the parent's memo
+        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        points = _scheme_points()
+        finished = []
+        out = sweep(points, jobs=2, progress=False, events=finished.append)
+        stats = out.stats
+        assert stats.jobs == 2
+        # An event names the planned worker; with two workers a stolen
+        # point ran on the other one.
+        assert {e["worker"] ^ e["stolen"] for e in finished} == {0, 1}
+        assert stats.memo_hits + stats.memo_misses == len(points)
+        groups = len({p.group() for p in points})
+        assert stats.memo_misses <= groups + stats.steals, (
+            f"{stats.memo_misses} trace builds for {groups} groups and "
+            f"{stats.steals} steals")
+
     def test_cancel_releases_fill_locks(self, cache, monkeypatch):
         """A pool stopped mid-point terminates its workers after the join
         grace; each must remove its per-key fill lock file, and a re-sweep
@@ -571,6 +614,17 @@ class TestProgressEta:
         assert match is not None
         assert 8 <= int(match.group(1)) <= 12
 
+    def test_eta_is_wall_time_per_miss_with_two_workers(self, capsys):
+        """2 workers, 10 s points: at t=20 s, 4 of 8 done, 20 s remain.
+        The per-miss rate is wall time, so it already counts both
+        workers; dividing it by ``running`` again would print 10 s."""
+        reporter = _Progress(total=8, cached=0, enabled=True)
+        reporter.start = time.perf_counter() - 20.0
+        reporter.update(done=4, running=2)
+        match = re.search(r"ETA (\d+)s", capsys.readouterr().err)
+        assert match is not None
+        assert 18 <= int(match.group(1)) <= 22
+
     def test_no_eta_before_first_miss_completes(self, capsys):
         reporter = _Progress(total=4, cached=2, enabled=True)
         reporter.update(done=2, running=2)
@@ -580,7 +634,7 @@ class TestProgressEta:
         """Every point a cache hit in the first reporting interval: the
         ETA is an honest 0, never inf or a ZeroDivisionError."""
         reporter = _Progress(total=3, cached=3, enabled=True)
-        assert reporter.eta(done=3, running=0) == 0.0
+        assert reporter.eta(done=3) == 0.0
         reporter.update(done=3, running=0)
         assert "ETA 0s" in capsys.readouterr().err
 
