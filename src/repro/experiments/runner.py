@@ -32,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import fcntl
+import functools
 import hashlib
 import json
 import os
@@ -75,19 +76,28 @@ def bench_scale() -> float:
     return float(os.environ.get("REPRO_BENCH_SCALE", "0.4"))
 
 
+#: The cache root when ``REPRO_CACHE_DIR`` is unset, resolved once: a
+#: sweep plan asks for the root once per point.
+_DEFAULT_CACHE_DIR = Path(__file__).resolve().parents[3] / ".bench_cache"
+
+#: ``REPRO_CACHE_DIR`` value -> its Path, parsed once per distinct value.
+_env_cache_dir = functools.lru_cache(maxsize=64)(Path)
+
+
 def _cache_dir(create: bool = False) -> Path | None:
     """The cache root, or None when caching is off.
 
-    The directory is only created when ``create=True`` (a write is about
-    to happen) — merely *querying* the cache must work in a read-only
-    checkout.  If creation fails, the cache degrades to ``REPRO_NO_CACHE``
-    behaviour with a one-time warning per path.
+    ``REPRO_NO_CACHE`` and ``REPRO_CACHE_DIR`` are read on every call, so
+    a change mid-process takes effect at once.  The directory is only
+    created when ``create=True`` (a write is about to happen) — merely
+    *querying* the cache must work in a read-only checkout.  If creation
+    fails, the cache degrades to ``REPRO_NO_CACHE`` behaviour with a
+    one-time warning per path.
     """
     if os.environ.get("REPRO_NO_CACHE"):
         return None
-    path = Path(os.environ.get("REPRO_CACHE_DIR",
-                               Path(__file__).resolve().parents[3]
-                               / ".bench_cache"))
+    env = os.environ.get("REPRO_CACHE_DIR")
+    path = _DEFAULT_CACHE_DIR if env is None else _env_cache_dir(env)
     if str(path) in _UNWRITABLE:
         return None
     if create and not path.is_dir():
@@ -113,10 +123,29 @@ def encode_config(value):
     return value
 
 
+#: ``repr(config) -> canonical config JSON``.  A sweep plan keys the
+#: paper's 1,136 points, which share a few dozen configs, so each JSON is
+#: built once.  The key is ``repr``, not the config: equal configs can
+#: encode differently (``dram_latency=100 == 100.0``), and two configs
+#: with one repr have the same field values and types, hence one JSON.
+_CONFIG_KEYS: dict[str, str] = {}
+
+#: Entries kept before the memo starts over: about 2 KB each, so 2 MB
+#: when full.  The full reproduction has 55 configs per seed.
+_CONFIG_KEYS_MAX = 1024
+
+
 def _config_key(config: SimConfig) -> str:
-    # A retired config field, kept as a constant so point keys do not move.
-    return json.dumps({**encode_config(config), "engine": "event"},
-                      sort_keys=True)
+    exact = repr(config)
+    key = _CONFIG_KEYS.get(exact)
+    if key is None:
+        if len(_CONFIG_KEYS) >= _CONFIG_KEYS_MAX:
+            _CONFIG_KEYS.clear()
+        # A retired config field, kept as a constant so point keys do not
+        # move.
+        key = _CONFIG_KEYS[exact] = json.dumps(
+            {**encode_config(config), "engine": "event"}, sort_keys=True)
+    return key
 
 
 def point_key(config: SimConfig, abbr: str, scale: float,
@@ -135,13 +164,18 @@ def point_digest(key: str) -> str:
     return hashlib.sha256(key.encode()).hexdigest()[:24]
 
 
-def _point_path(config: SimConfig, app: str, scale: float,
-                workload_tag: str) -> Path | None:
+def key_path(abbr: str, key: str) -> Path | None:
+    """Cache file of the point ``key`` of app ``abbr``, or None when
+    caching is off."""
     root = _cache_dir()
     if root is None:
         return None
-    digest = point_digest(point_key(config, app, scale, workload_tag))
-    return root / f"{app.replace('+', '_')}-{digest}.json"
+    return root / f"{abbr.replace('+', '_')}-{point_digest(key)}.json"
+
+
+def _point_path(config: SimConfig, app: str, scale: float,
+                workload_tag: str) -> Path | None:
+    return key_path(app, point_key(config, app, scale, workload_tag))
 
 
 def point_path(config: SimConfig, app: str | Workload,
@@ -410,7 +444,13 @@ def cached_result(config: SimConfig, app: str | Workload,
     """
     scale = bench_scale() if scale is None else scale
     abbr = app if isinstance(app, str) else app.abbr
-    path = _point_path(config, abbr, scale, workload_tag)
+    return load_cached(abbr, point_key(config, abbr, scale, workload_tag))
+
+
+def load_cached(abbr: str, key: str) -> SimResult | None:
+    """The cached result filed under point ``key``, or None (see
+    :func:`cached_result`, which derives the key itself)."""
+    path = key_path(abbr, key)
     return None if path is None else _try_load(path)
 
 

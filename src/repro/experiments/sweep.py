@@ -349,10 +349,11 @@ def _exit_on_sigterm(signum, frame) -> None:
 def _pool_worker(worker_id: int, inboxes: list, result_q, stop) -> None:
     """Worker loop: drain the own queue, then steal from the others.
 
-    Each inbox item is ``(index, point)``; each result is ``(index,
-    payload_or_None, seconds, memo_hits, memo_misses, stolen,
+    Each inbox item is ``(index, key, point)``; each result is ``(index,
+    worker_id, payload_or_None, seconds, memo_hits, memo_misses, stolen,
     error_or_None)`` — ``stolen`` records whether the point came from a
-    peer's queue, which the parent aggregates into ``SweepStats.steals``.
+    peer's queue, which the parent aggregates into ``SweepStats.steals``,
+    and ``worker_id`` is the worker that ran it.
     The worker publishes through the runner's cache (``_run_inline`` →
     ``run_point`` → atomic write) and ships ``payload=None`` when the
     cache file landed — the parent loads it from disk — falling back to
@@ -374,22 +375,21 @@ def _pool_worker(worker_id: int, inboxes: list, result_q, stop) -> None:
         if item is None:
             time.sleep(_STEAL_POLL_S)
             continue
-        index, point = item
+        index, key, point = item
         hits, misses = memo.hits, memo.misses
         start = time.perf_counter()
         try:
             result = _run_inline(point)
             seconds = time.perf_counter() - start
-            path = runner.point_path(point.config, point.app, point.scale,
-                                     point.tag)
+            path = runner.key_path(point.abbr, key)
             payload = None
             if path is None or not path.exists():
                 payload = runner._serialize(result)
-            result_q.put((index, payload, seconds,
+            result_q.put((index, worker_id, payload, seconds,
                           memo.hits - hits, memo.misses - misses, stolen,
                           None))
         except Exception:
-            result_q.put((index, None, 0.0, 0, 0, stolen,
+            result_q.put((index, worker_id, None, 0.0, 0, 0, stolen,
                           traceback.format_exc()))
 
 
@@ -410,7 +410,7 @@ def _run_pool(plan: list[PlannedPoint], workers: int, reporter: _Progress,
     result_q = ctx.Queue()
     stop = ctx.Event()
     for index, pp in enumerate(plan):
-        inboxes[pp.worker].put((index, pp.point))
+        inboxes[pp.worker].put((index, pp.key, pp.point))
     procs = [ctx.Process(target=_pool_worker,
                          args=(w, inboxes, result_q, stop), daemon=True)
              for w in range(workers)]
@@ -422,8 +422,8 @@ def _run_pool(plan: list[PlannedPoint], workers: int, reporter: _Progress,
     try:
         while pending:
             try:
-                (index, payload, seconds, memo_hits, memo_misses, stolen,
-                 error) = result_q.get(timeout=0.25)
+                (index, worker, payload, seconds, memo_hits, memo_misses,
+                 stolen, error) = result_q.get(timeout=0.25)
             except Empty:
                 crashed = [p for p in procs if p.exitcode not in (None, 0)]
                 if crashed:
@@ -439,9 +439,7 @@ def _run_pool(plan: list[PlannedPoint], workers: int, reporter: _Progress,
             if payload is not None:
                 results[pp.key] = runner._deserialize(payload)
             else:
-                loaded = runner.cached_result(
-                    pp.point.config, pp.point.app, pp.point.scale,
-                    pp.point.tag)
+                loaded = runner.load_cached(pp.point.abbr, pp.key)
                 if loaded is None:
                     raise RuntimeError(
                         f"worker published {pp.label()} but the cache "
@@ -454,7 +452,7 @@ def _run_pool(plan: list[PlannedPoint], workers: int, reporter: _Progress,
             stats.steals += int(stolen)
             pending -= 1
             _emit_finish(events, pp, seconds, stolen=bool(stolen),
-                         worker=pp.worker)
+                         worker=worker)
             reporter.update(cached + len(plan) - pending,
                             running=min(workers, pending))
     finally:
@@ -509,8 +507,7 @@ def sweep(points, jobs: int | None = None, progress: bool | None = None,
     results: dict[str, SimResult | None] = {}
     misses: list[tuple[str, SweepPoint]] = []
     for key, point in unique.items():
-        hit = runner.cached_result(point.config, point.abbr, point.scale,
-                                   point.tag)
+        hit = runner.load_cached(point.abbr, key)
         if hit is None:
             misses.append((key, point))
         else:

@@ -29,6 +29,12 @@ class Link:
         self.stats = StatSet(name)
         self.oracle = oracle
         self._next_free = 0
+        # Resolved once: ``send`` runs for every translation message.
+        self._latency = config.latency
+        self._cycles_per_packet = config.cycles_per_packet
+        self._counters = self.stats.counters
+        self._sums = self.stats.sums
+        self._samples = self.stats.sample_counts
 
     def send(self, payload: Any, deliver: Callable[[Any], None],
              packets: int = 1) -> int:
@@ -38,16 +44,21 @@ class Link:
         (e.g. F-Barre's per-sibling filter updates) as one event.  Returns
         the delivery cycle (useful for tests).
         """
-        now = self.queue.now
+        queue = self.queue
+        now = queue.now
         if self.oracle:
-            depart = now
+            arrival = now + self._latency
         else:
-            depart = max(now, self._next_free)
-            self._next_free = depart + self.config.cycles_per_packet * packets
-            self.stats.observe("queueing", depart - now)
-        arrival = depart + self.config.latency
-        self.stats.bump("packets", packets)
-        self.queue.schedule_at(arrival, lambda: deliver(payload))
+            depart = self._next_free
+            if depart < now:
+                depart = now
+            self._next_free = depart + self._cycles_per_packet * packets
+            # ``stats.observe("queueing", ...)``, in place.
+            self._sums["queueing"] += depart - now
+            self._samples["queueing"] += 1
+            arrival = depart + self._latency
+        self._counters["packets"] += packets
+        queue.schedule(arrival - now, lambda: deliver(payload))
         return arrival
 
     def occupy(self, cycles: int) -> None:

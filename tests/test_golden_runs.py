@@ -58,6 +58,11 @@ POINTS: dict[str, tuple] = {
                        (), "gemv"),
     "fbarre-migration-gemv": (lambda: configs.with_migration(configs.fbarre()),
                               (), "gemv"),
+    # Fig 19's oracle sharing mesh: the oracle branch of ``Link.send``.
+    "fbarre-oracle-sharing-gemv": (
+        lambda: configs.fbarre(oracle_sharing=True), (), "gemv"),
+    # 16 chiplets: every filter update fans out to 15 RCF replicas.
+    "fbarre-16c-gemv": (lambda: configs.fbarre(num_chiplets=16), (), "gemv"),
 }
 
 

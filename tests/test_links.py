@@ -83,3 +83,35 @@ def test_mesh_pairs_have_independent_bandwidth():
     mesh.send(0, 1, "c", lambda p: times.append(q.now))
     q.run()
     assert sorted(times) == [10, 10, 110]  # only the repeated pair queues
+
+
+def test_link_stats_exact_for_batches_and_idle_gap():
+    """Packet counts and the queueing mean and sample count stay exact:
+    a 3-packet batch, a 2-packet batch behind it, then one after an idle
+    gap."""
+    q = EventQueue()
+    link = Link(q, LinkConfig(latency=5, cycles_per_packet=10))
+    got = []
+    assert link.send("a", lambda p: got.append((q.now, p)), packets=3) == 5
+    # Queues behind the batch's 30 serialization cycles.
+    assert link.send("b", lambda p: got.append((q.now, p)), packets=2) == 35
+    # The link is free again at cycle 50: no queueing at cycle 80.
+    q.schedule(80, lambda: got.append(
+        ("sent", link.send("c", lambda p: got.append((q.now, p))))))
+    q.run()
+    assert got == [(5, "a"), (35, "b"), ("sent", 85), (85, "c")]
+    assert link.stats.as_dict() == {"packets": 6, "queueing_mean": 10.0,
+                                    "queueing_samples": 3}
+    assert link.packets_sent == 6
+
+
+def test_oracle_link_counts_packets_and_never_queues():
+    q = EventQueue()
+    link = Link(q, LinkConfig(latency=7, cycles_per_packet=10), oracle=True)
+    got = []
+    assert link.send("a", lambda p: got.append(q.now), packets=4) == 7
+    assert link.send("b", lambda p: got.append(q.now), packets=4) == 7
+    q.run()
+    assert got == [7, 7]
+    assert link.stats.as_dict() == {"packets": 8}
+    assert link.stats.samples("queueing") == 0

@@ -19,7 +19,9 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.common.config import SimConfig
 from repro.experiments import configs, figures
+from repro.experiments.registry import FIGURES, figure_points
 from repro.experiments import runner as runner_mod
 from repro.experiments.runner import (
     _deserialize,
@@ -194,6 +196,52 @@ class TestCacheKnobs:
         assert default_jobs() >= 1
 
 
+class TestPointKeys:
+    """A point's key is built once per process and stays exact."""
+
+    @staticmethod
+    def _fresh_config_json(config) -> str:
+        return json.dumps({**runner_mod.encode_config(config),
+                           "engine": "event"}, sort_keys=True)
+
+    def test_equal_configs_that_encode_differently_keep_their_keys(self):
+        as_int = SimConfig(dram_latency=100)
+        as_float = SimConfig(dram_latency=100.0)
+        assert as_int == as_float
+        for _ in range(2):     # the second pass is served by the memo
+            assert runner_mod._config_key(as_int) \
+                != runner_mod._config_key(as_float)
+            assert runner_mod._config_key(as_float) \
+                == self._fresh_config_json(as_float)
+
+    def test_memoized_keys_match_fresh_json_on_the_full_set(self):
+        points = [p for name in FIGURES for p in figure_points(name, SCALE)]
+        assert len(points) == 1136
+        for _ in range(2):
+            for p in points:
+                fresh = "|".join([runner_mod.SIM_VERSION,
+                                  self._fresh_config_json(p.config), p.abbr,
+                                  f"{p.resolved_scale():.4f}", p.tag])
+                assert p.key() == fresh
+
+    def test_cache_dir_follows_the_environment_mid_process(self, tmp_path,
+                                                            monkeypatch):
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        for sub in ("a", "b", "a"):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / sub))
+            assert runner_mod._cache_dir() == tmp_path / sub
+            assert runner_mod.point_path(configs.baseline(), "gemv",
+                                         SCALE).parent == tmp_path / sub
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        assert runner_mod._cache_dir() is None
+        assert runner_mod.point_path(configs.baseline(), "gemv",
+                                     SCALE) is None
+        monkeypatch.delenv("REPRO_NO_CACHE")
+        monkeypatch.delenv("REPRO_CACHE_DIR")
+        default = Path(runner_mod.__file__).resolve().parents[3]
+        assert runner_mod._cache_dir() == default / ".bench_cache"
+
+
 class TestCachePayloadCompat:
     def test_pre_histogram_payloads_still_load(self, cache):
         # Results cached before SimResult grew translation_latency have no
@@ -346,15 +394,15 @@ class TestPool:
         """Thin wire: with a writable cache a worker ships only its timing,
         and the parent reads each result back from the cache."""
         reads = []
-        real_cached_result = runner_mod.cached_result
+        real_load_cached = runner_mod.load_cached
 
         def counting(*args, **kwargs):
-            result = real_cached_result(*args, **kwargs)
+            result = real_load_cached(*args, **kwargs)
             reads.append(result is not None)
             return result
 
         # Workers fork with the patch, but their appends stay in the child.
-        monkeypatch.setattr(runner_mod, "cached_result", counting)
+        monkeypatch.setattr(runner_mod, "load_cached", counting)
         monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
         out = sweep(_scheme_points(), jobs=2, progress=False)
         assert out.stats.jobs == 2
@@ -375,9 +423,8 @@ class TestPool:
         out = sweep(points, jobs=2, progress=False, events=finished.append)
         stats = out.stats
         assert stats.jobs == 2
-        # An event names the planned worker; with two workers a stolen
-        # point ran on the other one.
-        assert {e["worker"] ^ e["stolen"] for e in finished} == {0, 1}
+        # An event names the worker that ran the point, stolen or not.
+        assert {e["worker"] for e in finished} == {0, 1}
         assert stats.memo_hits + stats.memo_misses == len(points)
         groups = len({p.group() for p in points})
         assert stats.memo_misses <= groups + stats.steals, (
