@@ -256,7 +256,3 @@ class SimConfig:
     @property
     def memory_map(self) -> MemoryMap:
         return MemoryMap(self.num_chiplets, self.frames_per_chiplet)
-
-    @property
-    def total_streams(self) -> int:
-        return self.num_chiplets * self.streams_per_chiplet

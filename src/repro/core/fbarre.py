@@ -230,10 +230,3 @@ class CoalescingAgent:
         for rcf in self.rcfs.values():
             rcf.clear()
         self.stats.bump("filter_resets")
-
-    def local_hit_rate(self) -> float:
-        """LCF true-positive rate (Fig 17a's ~98.4%)."""
-        hits = self.stats.count("lcf_hits")
-        if not hits:
-            return 0.0
-        return 1.0 - self.stats.count("lcf_false_positives") / hits

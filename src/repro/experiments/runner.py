@@ -2,7 +2,10 @@
 
 Every figure reproduces to a set of (config, app) simulation points, many of
 which repeat across figures (the Table II baseline appears in almost every
-one).  ``run_point`` therefore memoizes :class:`SimResult`s on disk, keyed
+one).  :class:`SweepPoint` is the one description of such a point — its
+key, its workloads, its simulation — and :func:`fill` is the one way a point
+reaches the cache: ``run_point``, ``run_pair``, the sweep engine's inline
+path and its pool workers all call it.  Results are memoized on disk, keyed
 by the full configuration, the app, the trace scale, and a simulator-version
 stamp — so a full benchmark sweep pays for each distinct point once.
 
@@ -38,8 +41,8 @@ import json
 import os
 import time
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from repro.common.config import SimConfig
 from repro.common.stats import Histogram, LatencyHistogram
@@ -173,23 +176,57 @@ def key_path(abbr: str, key: str) -> Path | None:
     return root / f"{abbr.replace('+', '_')}-{point_digest(key)}.json"
 
 
-def _point_path(config: SimConfig, app: str, scale: float,
-                workload_tag: str) -> Path | None:
-    return key_path(app, point_key(config, app, scale, workload_tag))
+@dataclass(frozen=True, eq=False)
+class SweepPoint:
+    """One simulation point: a config, an app, and optional modifiers.
 
-
-def point_path(config: SimConfig, app: str | Workload,
-               scale: float | None = None,
-               workload_tag: str = "") -> Path | None:
-    """Canonical cache file of a point, or None when caching is off.
-
-    The sweep engine's thin wire protocol checks this after a worker
-    simulates: when the file exists the worker ships only the key and its
-    timing, and the parent loads the result from disk.
+    ``app`` is a Table I abbreviation or a pre-built :class:`Workload`
+    (``workload_tag`` keeps the keys of modified workloads apart, e.g.
+    ``"x16"`` for Fig 24's scaled inputs); ``pair_with`` marks a Section
+    VII-I co-scheduling point, whose second app runs as PASID 1.
     """
-    scale = bench_scale() if scale is None else scale
-    abbr = app if isinstance(app, str) else app.abbr
-    return _point_path(config, abbr, scale, workload_tag)
+
+    config: SimConfig
+    app: str | Workload
+    scale: float | None = None
+    workload_tag: str = ""
+    pair_with: str | None = None
+
+    @property
+    def abbr(self) -> str:
+        return self.app if isinstance(self.app, str) else self.app.abbr
+
+    @property
+    def tag(self) -> str:
+        return f"pair-{self.pair_with}" if self.pair_with else self.workload_tag
+
+    def resolved_scale(self) -> float:
+        return bench_scale() if self.scale is None else self.scale
+
+    def key(self) -> str:
+        """The point's cache key (see :func:`point_key`)."""
+        return point_key(self.config, self.abbr, self.resolved_scale(),
+                         self.tag)
+
+    def group(self) -> tuple:
+        """Affinity group: points whose CTA traces are memo-shareable.
+
+        Matches the domain of ``mcm.build_cta_traces``'s memo key — same
+        app/tag, trace scale, and seed — without the config, so every
+        configuration of one app lands in one group.
+        """
+        return (self.abbr, self.tag, f"{self.resolved_scale():.4f}",
+                self.config.seed)
+
+    def simulate(self) -> SimResult:
+        """Run the point, bypassing the cache."""
+        workloads = [get_workload(self.app) if isinstance(self.app, str)
+                     else self.app]
+        if self.pair_with:
+            workloads.append(get_workload(self.pair_with))
+            workloads[1].pasid = 1
+        return McmGpuSimulator(self.config, workloads,
+                               trace_scale=self.resolved_scale()).run()
 
 
 def _serialize(result: SimResult) -> dict:
@@ -242,8 +279,7 @@ def _atomic_write(path: Path, result: SimResult) -> None:
     _write_json(path, _serialize(result))
 
 
-def _write_key_manifest(path: Path, config: SimConfig, abbr: str,
-                        scale: float, tag: str,
+def _write_key_manifest(path: Path, point: SweepPoint,
                         seconds: float | None = None) -> None:
     """Record a fill's key components (and its host seconds) next to the
     cache, best-effort.
@@ -254,9 +290,9 @@ def _write_key_manifest(path: Path, config: SimConfig, abbr: str,
     """
     digest = path.stem.rsplit("-", 1)[-1]
     manifest = path.parent / _KEYS_SIDECAR / f"{digest}.json"
-    payload = {"app": abbr, "config": _config_key(config),
-               "file": path.name, "scale": scale,
-               "sim_version": SIM_VERSION, "tag": tag}
+    payload = {"app": point.abbr, "config": _config_key(point.config),
+               "file": path.name, "scale": point.resolved_scale(),
+               "sim_version": SIM_VERSION, "tag": point.tag}
     if seconds is not None:
         payload["seconds"] = round(seconds, 4)
     try:
@@ -304,16 +340,17 @@ def load_timings() -> dict[str, dict]:
     return timings
 
 
-#: Points this process actually simulated through :func:`_fill_point`
-#: (cache hits do not count).  ``repro explore`` asserts it stays put.
+#: Points this process actually simulated through :func:`fill` (cache
+#: hits do not count).  ``repro explore`` asserts it stays put.
 SIMULATIONS = 0
 
 
-def _fill_point(path: Path | None, compute: Callable[[], SimResult],
-                key_meta: Callable[[], tuple] | None = None) -> SimResult:
-    """Return the cached result at ``path``, filling it under a key lock.
+def fill(point: SweepPoint) -> SimResult:
+    """The result of ``point``: from the cache, else simulated and filed.
 
-    Concurrency protocol (cache-stampede safety):
+    In a collection pass (:func:`collecting`) the point is recorded and a
+    stub comes back.  Otherwise the concurrency protocol
+    (cache-stampede safety) is:
 
     1. cache hit → load and return;
     2. take an exclusive ``flock`` on ``<path>.lock`` — one worker per key
@@ -325,22 +362,26 @@ def _fill_point(path: Path | None, compute: Callable[[], SimResult],
 
     A holder killed by any means loses its lock with its process; at
     worst it leaves the lock *file*, which the next filler locks at once.
-    Only the lock holder quarantines an undecodable file.  ``key_meta``
-    (a lazy ``() -> (config, abbr, scale, tag)``) lets the holder record
-    the point's key components and the seconds ``compute`` took in the
+    Only the lock holder quarantines an undecodable file.  The holder
+    records the point's key components and its simulation seconds in the
     key manifest, written before the payload so a kill between the two
-    leaves no payload without a manifest; it is never invoked on a hit.
+    leaves no payload without a manifest.
     """
     global SIMULATIONS
+    sink = _COLLECT
+    if sink is not None:
+        sink.append(point)
+        return _stub_result(point.abbr)
+    path = key_path(point.abbr, point.key())
     if path is None:
         SIMULATIONS += 1
-        return compute()
+        return point.simulate()
     result = _try_load(path)
     if result is not None:
         return result
     if _cache_dir(create=True) is None:   # cache dir vanished / read-only
         SIMULATIONS += 1
-        return compute()
+        return point.simulate()
     lock = path.with_suffix(".lock")
     fd = _lock(lock)
     try:
@@ -350,10 +391,9 @@ def _fill_point(path: Path | None, compute: Callable[[], SimResult],
         if path.exists():
             _quarantine(path)
         start = time.perf_counter()
-        result = compute()
-        seconds = time.perf_counter() - start
-        if key_meta is not None:
-            _write_key_manifest(path, *key_meta(), seconds=seconds)
+        result = point.simulate()
+        _write_key_manifest(path, point,
+                            seconds=time.perf_counter() - start)
         _atomic_write(path, result)
         SIMULATIONS += 1
         return result
@@ -390,15 +430,15 @@ def _quarantine(path: Path) -> None:
 # Point collection (prewarm support for the sweep engine)
 # --------------------------------------------------------------------------
 
-#: When not None, ``run_point``/``run_pair`` record their would-be points
-#: in this list and return a cheap stub instead of simulating.  The sweep
-#: engine uses this to discover a figure's full point-set up front.
-_COLLECT: list | None = None
+#: When not None, :func:`fill` records each point in this list and returns
+#: a cheap stub instead of simulating.  The sweep engine uses this to
+#: discover a figure's full point-set up front.
+_COLLECT: list[SweepPoint] | None = None
 
 
 @contextlib.contextmanager
 def collecting():
-    """Record (config, app, scale, tag, pair) tuples instead of simulating.
+    """Record each :class:`SweepPoint` instead of simulating it.
 
     Yields the sink list.  Used by :func:`repro.experiments.sweep.collect_points`
     to enumerate every simulation point an experiment function would run.
@@ -442,9 +482,8 @@ def cached_result(config: SimConfig, app: str | Workload,
 
     A cache file that does not decode counts as a miss.
     """
-    scale = bench_scale() if scale is None else scale
-    abbr = app if isinstance(app, str) else app.abbr
-    return load_cached(abbr, point_key(config, abbr, scale, workload_tag))
+    point = SweepPoint(config, app, scale, workload_tag)
+    return load_cached(point.abbr, point.key())
 
 
 def load_cached(abbr: str, key: str) -> SimResult | None:
@@ -465,12 +504,11 @@ def store_point(config: SimConfig, app: str | Workload, result: SimResult,
     time is not the point's cost.  Returns the published path, or None
     when caching is off.
     """
-    scale = bench_scale() if scale is None else scale
-    abbr = app if isinstance(app, str) else app.abbr
-    path = _point_path(config, abbr, scale, workload_tag)
+    point = SweepPoint(config, app, scale, workload_tag)
+    path = key_path(point.abbr, point.key())
     if path is None or _cache_dir(create=True) is None:
         return None
-    _write_key_manifest(path, config, abbr, scale, workload_tag)
+    _write_key_manifest(path, point)
     _atomic_write(path, result)
     return path
 
@@ -485,40 +523,14 @@ def run_point(config: SimConfig, app: str | Workload,
     e.g. ``"x16"`` for Fig 24's scaled inputs).
     """
     scale = bench_scale() if scale is None else scale
-    sink = _COLLECT
-    if sink is not None:
-        abbr = app if isinstance(app, str) else app.abbr
-        sink.append((config, app, scale, workload_tag, None))
-        return _stub_result(abbr)
-    workload = get_workload(app) if isinstance(app, str) else app
-    path = _point_path(config, workload.abbr, scale, workload_tag)
-    return _fill_point(
-        path,
-        lambda: McmGpuSimulator(config, [workload],
-                                trace_scale=scale).run(),
-        key_meta=lambda: (config, workload.abbr, scale, workload_tag))
+    return fill(SweepPoint(config, app, scale, workload_tag))
 
 
 def run_pair(config: SimConfig, app_a: str, app_b: str,
              scale: float | None = None) -> SimResult:
     """Multi-programming point: two apps co-scheduled (Section VII-I)."""
     scale = bench_scale() if scale is None else scale
-    sink = _COLLECT
-    if sink is not None:
-        sink.append((config, app_a, scale, "", app_b))
-        return _stub_result(app_a)
-
-    def compute() -> SimResult:
-        first = get_workload(app_a)
-        second = get_workload(app_b)
-        second.pasid = 1
-        return McmGpuSimulator(config, [first, second],
-                               trace_scale=scale).run()
-
-    path = _point_path(config, app_a, scale, f"pair-{app_b}")
-    return _fill_point(path, compute,
-                       key_meta=lambda: (config, app_a, scale,
-                                         f"pair-{app_b}"))
+    return fill(SweepPoint(config, app_a, scale, pair_with=app_b))
 
 
 def suite_results(config: SimConfig, apps: list[str],
@@ -528,7 +540,7 @@ def suite_results(config: SimConfig, apps: list[str],
     Cache misses fan out over the sweep engine's worker pool (worker count
     from ``REPRO_JOBS``); hits are served straight from disk.
     """
-    from repro.experiments.sweep import SweepPoint, sweep
+    from repro.experiments.sweep import sweep
     outcome = sweep([SweepPoint(config, app, scale) for app in apps])
     return dict(zip(apps, outcome.results))
 

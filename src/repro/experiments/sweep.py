@@ -3,8 +3,10 @@
 Every paper figure reduces to a set of independent (config, app, scale)
 simulation points — embarrassingly parallel work that the serial harness
 paid for one core at a time.  :func:`sweep` takes an iterable of
-:class:`SweepPoint`, deduplicates them against the on-disk result cache,
-and runs the misses on one of two paths, picked from what it can observe:
+:class:`SweepPoint` (defined in :mod:`repro.experiments.runner`, which
+owns a point's key, workloads and cache fill), deduplicates them against
+the on-disk result cache, and runs the misses through ``runner.fill`` on
+one of two paths, picked from what it can observe:
 
 * **inline** — in-process, in plan order, when the core-clamped width
   (:func:`_pool_width`) is one worker or there is a single miss: a
@@ -30,9 +32,9 @@ high-MPKI straggler no longer dictates the batch tail — and
 ``repro sweep --dry-run`` prints the planned order.
 
 Prewarming: :func:`collect_points` runs an experiment function in the
-runner's collection mode — ``run_point``/``run_pair`` record their would-be
-points and return stubs — which lets a figure's *full* point-set be
-discovered up front and submitted as one batch (see
+runner's collection mode — ``runner.fill`` records each would-be point and
+returns a stub — which lets a figure's *full* point-set be discovered up
+front and submitted as one batch (see
 ``repro.experiments.registry.run_figure`` and ``repro sweep --warm-cache``).
 """
 
@@ -47,11 +49,10 @@ import traceback
 from dataclasses import dataclass, field
 from queue import Empty
 
-from repro.common.config import SimConfig
 from repro.experiments import runner
+from repro.experiments.runner import SweepPoint
 from repro.gpu import mcm
 from repro.gpu.mcm import SimResult
-from repro.workloads.base import Workload
 
 #: Per-point cost guess (seconds) when no manifest has seconds at all —
 #: only the *relative* order matters, so any constant works.
@@ -63,48 +64,6 @@ _STEAL_POLL_S = 0.005
 #: Seconds a stopped pool worker gets to finish (and cache-publish) its
 #: in-flight point before it is terminated.
 _JOIN_GRACE_S = 10.0
-
-
-@dataclass(frozen=True, eq=False)
-class SweepPoint:
-    """One simulation point: a config, an app, and optional modifiers.
-
-    ``app`` is a Table I abbreviation or a pre-built :class:`Workload`;
-    ``pair_with`` marks a Section VII-I co-scheduling point (simulated via
-    ``run_pair``).
-    """
-
-    config: SimConfig
-    app: str | Workload
-    scale: float | None = None
-    workload_tag: str = ""
-    pair_with: str | None = None
-
-    @property
-    def abbr(self) -> str:
-        return self.app if isinstance(self.app, str) else self.app.abbr
-
-    @property
-    def tag(self) -> str:
-        return f"pair-{self.pair_with}" if self.pair_with else self.workload_tag
-
-    def resolved_scale(self) -> float:
-        return runner.bench_scale() if self.scale is None else self.scale
-
-    def key(self) -> str:
-        """Cache key — identical to the one ``run_point`` files under."""
-        return runner.point_key(self.config, self.abbr,
-                                self.resolved_scale(), self.tag)
-
-    def group(self) -> tuple:
-        """Affinity group: points whose CTA traces are memo-shareable.
-
-        Matches the domain of ``mcm.build_cta_traces``'s memo key — same
-        app/tag, trace scale, and seed — without the config, so every
-        configuration of one app lands in one group.
-        """
-        return (self.abbr, self.tag, f"{self.resolved_scale():.4f}",
-                self.config.seed)
 
 
 @dataclass
@@ -185,14 +144,6 @@ def _pool_width(jobs: int, misses: int) -> int:
     if not os.environ.get("REPRO_OVERSUBSCRIBE"):
         width = min(width, os.cpu_count() or width)
     return max(1, width)
-
-
-def _run_inline(point: SweepPoint) -> SimResult:
-    if point.pair_with:
-        return runner.run_pair(point.config, point.app, point.pair_with,
-                               point.scale)
-    return runner.run_point(point.config, point.app, point.scale,
-                            point.workload_tag)
 
 
 def _emit_finish(events, pp: PlannedPoint, seconds: float,
@@ -329,7 +280,7 @@ def _run_serial(plan: list[PlannedPoint], reporter: _Progress,
     for pp in plan:
         hits, memo_misses = memo.hits, memo.misses
         t0 = time.perf_counter()
-        results[pp.key] = _run_inline(pp.point)
+        results[pp.key] = runner.fill(pp.point)
         seconds = time.perf_counter() - t0
         stats.point_seconds[pp.key] = seconds
         stats.memo_hits += memo.hits - hits
@@ -342,7 +293,7 @@ def _run_serial(plan: list[PlannedPoint], reporter: _Progress,
 
 def _exit_on_sigterm(signum, frame) -> None:
     # The kernel frees a dead worker's flock; unwinding like an exception
-    # also lets _fill_point's finally remove the lock file.
+    # also lets runner.fill's finally remove the lock file.
     raise SystemExit(128 + signum)
 
 
@@ -354,8 +305,8 @@ def _pool_worker(worker_id: int, inboxes: list, result_q, stop) -> None:
     error_or_None)`` — ``stolen`` records whether the point came from a
     peer's queue, which the parent aggregates into ``SweepStats.steals``,
     and ``worker_id`` is the worker that ran it.
-    The worker publishes through the runner's cache (``_run_inline`` →
-    ``run_point`` → atomic write) and ships ``payload=None`` when the
+    The worker publishes through the runner's cache (``runner.fill`` →
+    atomic write) and ships ``payload=None`` when the
     cache file landed — the parent loads it from disk — falling back to
     the full payload under ``REPRO_NO_CACHE`` or an unwritable cache.
     """
@@ -379,7 +330,7 @@ def _pool_worker(worker_id: int, inboxes: list, result_q, stop) -> None:
         hits, misses = memo.hits, memo.misses
         start = time.perf_counter()
         try:
-            result = _run_inline(point)
+            result = runner.fill(point)
             seconds = time.perf_counter() - start
             path = runner.key_path(point.abbr, key)
             payload = None
@@ -495,7 +446,7 @@ def sweep(points, jobs: int | None = None, progress: bool | None = None,
     if runner.is_collecting():
         # A collection pass is enumerating points — stay serial so the
         # runner records them; stubs come back immediately.
-        results = [_run_inline(p) for p in points]
+        results = [runner.fill(p) for p in points]
         return SweepOutcome(results, SweepStats(
             total=len(points), unique=len(points)))
     start = time.perf_counter()
@@ -537,16 +488,13 @@ def sweep(points, jobs: int | None = None, progress: bool | None = None,
 def collect_points(fn, *args, **kwargs) -> list[SweepPoint]:
     """Every simulation point ``fn(*args, **kwargs)`` would run.
 
-    Executes ``fn`` in the runner's collection mode: ``run_point`` and
-    ``run_pair`` record their points and return stubs, so the pass is
-    cheap (no simulation, no cache I/O).  ``fn``'s return value is
-    discarded.
+    Executes ``fn`` in the runner's collection mode: ``runner.fill``
+    records each point and returns a stub, so the pass is cheap (no
+    simulation, no cache I/O).  ``fn``'s return value is discarded.
     """
     with runner.collecting() as sink:
         fn(*args, **kwargs)
-    return [SweepPoint(config=config, app=app, scale=scale,
-                       workload_tag=tag, pair_with=pair)
-            for config, app, scale, tag, pair in sink]
+    return sink
 
 
 def prewarm(fn, *args, jobs: int | None = None,

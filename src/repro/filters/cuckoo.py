@@ -186,10 +186,6 @@ class CuckooFilter:
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def load_factor(self) -> float:
-        return self._size / self.config.capacity
-
     def contains(self, item: int) -> bool:
         """Membership test; false positives possible.
 

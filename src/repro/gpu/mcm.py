@@ -324,8 +324,6 @@ class McmGpuSimulator:
         self.allocators = self.driver.allocators
         self.spaces = self.driver.spaces
         self.policy = self.driver.policy
-        barre = cfg.backend in (BackendKind.BARRE, BackendKind.FBARRE)
-        merge = cfg.merged_coal_groups if cfg.backend is BackendKind.FBARRE else 1
         self.pager: DemandPager | None = None
         if cfg.demand_paging:
             self.pager = DemandPager(self.driver,
@@ -355,7 +353,7 @@ class McmGpuSimulator:
             self.iommu = Iommu(
                 self.queue, cfg.iommu, self.spaces, self.driver.pec_buffer,
                 self.memory_map.chiplet_bases, self._route_response,
-                barre_enabled=barre,
+                barre_enabled=self.driver.barre_enabled,
                 compact_bitmap=self.driver.compact_bitmap,
                 tracer=self.tracer)
             if self.pager is not None:
@@ -391,7 +389,7 @@ class McmGpuSimulator:
                 pec.tracer = self.tracer
                 agent = CoalescingAgent(
                     cid, cfg.num_chiplets, cfg.cuckoo, pec, l2,
-                    max_merge=merge,
+                    max_merge=self.driver.merge_max,
                     send_update=self._make_update_sender(cid))
                 agent.tracer = self.tracer
                 self.agents[cid] = agent
@@ -462,8 +460,7 @@ class McmGpuSimulator:
                 self.driver.pec_buffer, self.memory_map.chiplet_bases,
                 respond=lambda resp: None,  # replaced by GmmuHandler
                 pt_owner=self._pt_owner, mesh=self.mesh,
-                barre_enabled=cfg.backend in (BackendKind.BARRE,
-                                              BackendKind.FBARRE),
+                barre_enabled=self.driver.barre_enabled,
                 compact_bitmap=self.driver.compact_bitmap,
                 tracer=self.tracer)
             if self.pager is not None:
@@ -504,28 +501,39 @@ class McmGpuSimulator:
     # -- trace assembly ------------------------------------------------------
 
     def _build_streams(self) -> None:
-        cfg = self.config
         self.streams: list[AccessStream] = []
         self._remaining = 0
-        if self.scenario is not None:
-            return  # streams are built per tenant, at its arrival event
+        if self.scenario is None:   # else built per tenant, at its arrival
+            self._add_streams(self.workloads)
+
+    def _add_streams(self, workloads: Sequence[Workload]
+                     ) -> list[AccessStream]:
+        """Build and register the streams of ``workloads``' access trace.
+
+        Each chiplet deals its CTAs round-robin over its streams; a stream
+        left without accesses is not built (it would drain at start and
+        schedule nothing).
+        """
+        cfg = self.config
         per_chiplet_ctas = build_access_trace(
-            cfg, self.workloads, self.driver, self.page_scale,
-            self.trace_scale)
+            cfg, workloads, self.driver, self.page_scale, self.trace_scale)
+        streams: list[AccessStream] = []
         for cid, chiplet in enumerate(self.chiplets):
             buckets: list[list[TraceAccess]] = [
                 [] for _ in range(cfg.streams_per_chiplet)]
             for index, accesses in enumerate(per_chiplet_ctas[cid]):
                 buckets[index % cfg.streams_per_chiplet].extend(accesses)
             for sid, accesses in enumerate(buckets):
-                stream = AccessStream(
-                    self.queue, sid, accesses, cfg.stream_window,
-                    translate=chiplet.translate,
-                    access_data=self._make_data_access(cid),
-                    on_drained=self._stream_drained,
-                    chiplet_id=cid, tracer=self.tracer)
-                self.streams.append(stream)
-                self._remaining += 1
+                if accesses:
+                    streams.append(AccessStream(
+                        self.queue, sid, accesses, cfg.stream_window,
+                        translate=chiplet.translate,
+                        access_data=self._make_data_access(cid),
+                        on_drained=self._stream_drained,
+                        chiplet_id=cid, tracer=self.tracer))
+        self.streams.extend(streams)
+        self._remaining += len(streams)
+        return streams
 
     def _make_data_access(self, cid: int):
         # verify_translations and the migration engine are fixed before the
@@ -558,31 +566,11 @@ class McmGpuSimulator:
 
     def _arrive_tenant(self, plan: TenantPlan) -> None:
         """Map a tenant's data and start its streams (lifecycle event)."""
-        cfg = self.config
-        workload = plan.workload
-        allocate_workloads(self.driver, [workload], self.page_scale,
+        allocate_workloads(self.driver, [plan.workload], self.page_scale,
                            pager=self.pager)
-        per_chiplet_ctas = build_access_trace(
-            cfg, [workload], self.driver, self.page_scale, self.trace_scale)
-        streams: list[AccessStream] = []
-        for cid, chiplet in enumerate(self.chiplets):
-            buckets: list[list[TraceAccess]] = [
-                [] for _ in range(cfg.streams_per_chiplet)]
-            for index, accesses in enumerate(per_chiplet_ctas[cid]):
-                buckets[index % cfg.streams_per_chiplet].extend(accesses)
-            for sid, accesses in enumerate(buckets):
-                if not accesses:
-                    continue
-                stream = AccessStream(
-                    self.queue, sid, accesses, cfg.stream_window,
-                    translate=chiplet.translate,
-                    access_data=self._make_data_access(cid),
-                    on_drained=self._stream_drained,
-                    chiplet_id=cid, tracer=self.tracer)
-                self.streams.append(stream)
-                streams.append(stream)
-                self._remaining += 1
-                stream.start()
+        streams = self._add_streams([plan.workload])
+        for stream in streams:
+            stream.start()
         self._streams_by_pasid[plan.pasid] = streams
 
     def _teardown_tenant(self, plan: TenantPlan) -> None:

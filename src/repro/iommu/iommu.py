@@ -353,14 +353,6 @@ class Iommu:
 
     # -- introspection ----------------------------------------------------------
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    @property
-    def walks_in_flight(self) -> int:
-        return len(self._walking)
-
     def coalesced_fraction(self) -> float:
         """Fraction of ATS responses produced by calculation (Fig 16b)."""
         return self.stats.ratio("pec_coalesced", "ats_responses")

@@ -66,9 +66,6 @@ class ReferenceResult:
     def __len__(self) -> int:
         return len(self.accesses)
 
-    def pfn_of(self, pasid: int, vpn: int) -> int:
-        return self.translations[(pasid, vpn)]
-
     def first_access_of(self, pasid: int, vpn: int) -> RefAccess | None:
         """Earliest canonical access touching ``(pasid, vpn)``."""
         for access in self.accesses:

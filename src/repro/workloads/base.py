@@ -108,9 +108,6 @@ class Workload:
                                 page_scale=page_scale)
                 for i, spec in enumerate(self.data)]
 
-    def total_footprint_pages(self) -> int:
-        return sum(spec.pages for spec in self.data)
-
     def scaled(self, footprint_scale: int) -> "Workload":
         """A copy with all footprints multiplied (Fig 24's 16x inputs)."""
         import dataclasses

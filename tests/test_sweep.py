@@ -29,6 +29,7 @@ from repro.experiments.runner import (
     cached_result,
     load_timings,
     point_digest,
+    run_pair,
     run_point,
     store_point,
 )
@@ -134,6 +135,34 @@ class TestCollection:
         assert all(p.abbr == "gemv" for p in points)
 
 
+class TestPairPoints:
+    def test_pair_point_sweeps_like_run_pair(self, tmp_path, monkeypatch):
+        """A co-scheduling point through ``sweep()``, inline and on the
+        pool, files the bytes ``run_pair`` files, under the same name,
+        with a key manifest that records its pair tag."""
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        cfg = configs.baseline()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "direct"))
+        run_pair(cfg, "gemv", "fft", SCALE)
+        (direct,) = (tmp_path / "direct").glob("*.json")
+        # Two points so the pool path really runs with two workers.
+        point = SweepPoint(cfg, "gemv", SCALE, pair_with="fft")
+        other = SweepPoint(cfg, "fft", SCALE)
+        for jobs in (1, 2):
+            root = tmp_path / f"jobs{jobs}"
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+            out = sweep([point, other][:jobs], jobs=jobs, progress=False)
+            assert out.stats.jobs == jobs
+            assert out.results[0].app == "gemv+fft"
+            filed = root / direct.name
+            assert filed.read_bytes() == direct.read_bytes(), jobs
+            manifest = runner_mod.load_key_manifest(
+                point_digest(point.key()), root)
+            assert manifest["tag"] == "pair-fft"
+            assert manifest["app"] == "gemv"
+
+
 class TestCliSweep:
     def test_sweep_command(self, cache, capsys):
         assert main(["sweep", "--schemes", "baseline", "--apps", "gemv,fft",
@@ -224,18 +253,32 @@ class TestPointKeys:
                                   f"{p.resolved_scale():.4f}", p.tag])
                 assert p.key() == fresh
 
+    def test_full_reproduction_plan_is_pinned(self):
+        """The collection pass over every figure yields the same points,
+        in the same order, under the same keys: a dropped, reordered or
+        re-keyed point moves the digest."""
+        plan = hashlib.sha256()
+        points = [p for name in FIGURES for p in figure_points(name, SCALE)]
+        for p in points:
+            row = (p.abbr, p.tag, f"{p.scale:.4f}", p.pair_with,
+                   point_digest(p.key()))
+            plan.update(f"{row!r}\n".encode())
+        assert (len(points), len({p.key() for p in points})) == (1136, 728)
+        assert plan.hexdigest() == (
+            "4ec235f17cc56e7b572d44f2c7fb621fde80f82ed1709c9ed32e21c1ae95d1f1")
+
     def test_cache_dir_follows_the_environment_mid_process(self, tmp_path,
                                                             monkeypatch):
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        key = runner_mod.point_key(configs.baseline(), "gemv", SCALE)
         for sub in ("a", "b", "a"):
             monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / sub))
             assert runner_mod._cache_dir() == tmp_path / sub
-            assert runner_mod.point_path(configs.baseline(), "gemv",
-                                         SCALE).parent == tmp_path / sub
+            assert runner_mod.key_path("gemv", key).parent \
+                == tmp_path / sub
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         assert runner_mod._cache_dir() is None
-        assert runner_mod.point_path(configs.baseline(), "gemv",
-                                     SCALE) is None
+        assert runner_mod.key_path("gemv", key) is None
         monkeypatch.delenv("REPRO_NO_CACHE")
         monkeypatch.delenv("REPRO_CACHE_DIR")
         default = Path(runner_mod.__file__).resolve().parents[3]
@@ -309,8 +352,7 @@ class TestSchedulerDeterminism:
         assert sweep(points, jobs=2, progress=False).stats.jobs == 2
         for name, point in zip(names, points):
             golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-            cache_file = runner_mod.point_path(point.config, point.abbr,
-                                               SCALE)
+            cache_file = runner_mod.key_path(point.abbr, point.key())
             assert cache_file.exists()
             got = hashlib.sha256(cache_file.read_bytes()).hexdigest()
             assert got == golden["cache_payload_sha256"], (
@@ -382,7 +424,7 @@ class TestPool:
             raise ValueError("injected point failure")
 
         # Workers fork from this process, so the patch rides along.
-        monkeypatch.setattr(sweep_mod, "_run_inline", boom)
+        monkeypatch.setattr(runner_mod, "fill", boom)
         monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
         with pytest.raises(RuntimeError, match="sweep worker failed") as err:
             sweep(_scheme_points(), jobs=2, progress=False)
@@ -583,7 +625,7 @@ class TestTornCacheFile:
                                                    cut, jobs):
         monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
         torn = SweepPoint(configs.baseline(), "gemv", SCALE)
-        path = runner_mod.point_path(torn.config, "gemv", SCALE)
+        path = runner_mod.key_path("gemv", torn.key())
         sweep([torn], jobs=1, progress=False)
         clean = path.read_bytes()
         bad = b"" if cut == "empty" else clean[:len(clean) // 2]
@@ -612,7 +654,8 @@ class TestTornCacheFile:
         """Only the lock holder quarantines: a waiter that sees a torn
         file blocks on the holder's flock and then reads its result."""
         cfg = configs.baseline()
-        path = runner_mod.point_path(cfg, "gemv", SCALE)
+        path = runner_mod.key_path("gemv",
+                                   runner_mod.point_key(cfg, "gemv", SCALE))
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("")
         lock = path.with_suffix(".lock")
@@ -837,7 +880,8 @@ class TestCrashHeal:
         assert healer.exitcode == 0
         golden = json.loads(
             (REPO / "tests" / "golden" / "baseline-gemv.json").read_text())
-        path = runner_mod.point_path(configs.baseline(), "gemv", SCALE)
+        path = runner_mod.key_path(
+            "gemv", runner_mod.point_key(configs.baseline(), "gemv", SCALE))
         assert (hashlib.sha256(path.read_bytes()).hexdigest()
                 == golden["cache_payload_sha256"])
         (entry,) = [e for e in catalog.scan(cache) if e.app == "gemv"]
