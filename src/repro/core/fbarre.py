@@ -61,9 +61,7 @@ class CoalescingAgent:
 
     def __init__(self, chiplet_id: int, num_chiplets: int,
                  cuckoo: CuckooConfig, pec: PecLogic, l2: Tlb, *,
-                 max_merge: int = 1,
-                 send_update: Callable[[int, FilterUpdate], None]
-                 | None = None) -> None:
+                 max_merge: int = 1) -> None:
         self.chiplet_id = chiplet_id
         self.num_chiplets = num_chiplets
         self.pec = pec
@@ -88,10 +86,19 @@ class CoalescingAgent:
         #: state: they stay out of ``stats`` and every serialized result).
         self.updates_computed = 0
         self.updates_replayed = 0
-        #: Transport for filter updates; wired by the MCM to the mesh.
-        self.send_update = send_update or (lambda peer, update: None)
+        #: Per-peer update routes, in ``_peer_order``: ``(send, deliver)``
+        #: pairs, each update going out as ``send(update, deliver,
+        #: packets)``.  Bound once wiring is done (:meth:`connect`); with
+        #: none, updates go nowhere.
+        self._routes: tuple[tuple[Callable, Callable], ...] = ()
         l2.on_insert = self._on_l2_insert
         l2.on_evict = self._on_l2_evict
+
+    def connect(self, routes: dict[int, tuple[Callable, Callable]]) -> None:
+        """Bind each peer's update route once.  ``routes[peer]`` is a
+        ``(send, deliver)`` pair: the MCM passes the mesh link's
+        ``Link.send`` and the peer agent's ``apply_update``."""
+        self._routes = tuple(routes[peer] for peer in self._peer_order)
 
     @property
     def tracer(self):
@@ -120,7 +127,7 @@ class CoalescingAgent:
     def _on_l2_insert(self, entry: TlbEntry) -> None:
         # LCF reflects actual TLB contents: exact VPN only (Section V-A2).
         if not self.lcf.insert(entry.vpn):
-            self.stats.bump("lcf_insert_drops")
+            self._counters["lcf_insert_drops"] += 1
         self._broadcast("add", entry)
 
     def _on_l2_evict(self, entry: TlbEntry) -> None:
@@ -128,30 +135,34 @@ class CoalescingAgent:
         self._broadcast("delete", entry)
 
     def _broadcast(self, command: str, entry: TlbEntry) -> None:
-        siblings = self._sibling_vpns(entry)
-        update = FilterUpdate(command=command, sender=self.chiplet_id,
-                              pasid=entry.pasid, vpns=siblings,
-                              seq=self._send_seq)
+        siblings = entry.siblings or self._sibling_vpns(entry)
+        update = FilterUpdate(command, self.chiplet_id, entry.pasid,
+                              siblings, self._send_seq)
         self._send_seq += 1
-        for peer in self._peer_order:
-            self.send_update(peer, update)
-        self.stats.bump("updates_sent", len(siblings) * len(self._peer_order))
+        packets = len(siblings)
+        routes = self._routes
+        for send, deliver in routes:
+            send(update, deliver, packets)
+        self._counters["updates_sent"] += packets * len(routes)
 
     def apply_update(self, update: FilterUpdate) -> None:
         """A peer's filter-update batch arrived (best effort, no ack)."""
+        add = update.command == "add"
+        shared = update.effect
         effect = self.rcfs[update.sender].apply_batch(
-            update.command == "add", update.vpns, update.seq, update.effect)
-        if effect is update.effect:
+            add, update.vpns, update.seq, shared)
+        counters = self._counters
+        if effect is shared:
             self.updates_replayed += 1
         else:
             self.updates_computed += 1
             if effect.seq is not None:
                 update.effect = effect
-        if update.command == "add":
+        if add:
             drops = effect.results.count(False)
             if drops:
-                self.stats.bump("rcf_insert_drops", drops)
-        self.stats.bump("updates_applied", len(update.vpns))
+                counters["rcf_insert_drops"] += drops
+        counters["updates_applied"] += len(update.vpns)
 
     # -- translation paths -----------------------------------------------------
 
@@ -164,10 +175,9 @@ class CoalescingAgent:
         """
         if self._trace_on:
             self.tracer.phase(pasid, vpn, "lcf_probe")
-        candidates = self.pec.candidate_vpns(pasid, vpn,
-                                             max_merge=self.max_merge)
-        for candidate in candidates:
-            if candidate == vpn or not self.lcf.contains(candidate):
+        candidates = self.pec.candidate_vpns(pasid, vpn, self.max_merge)
+        for candidate in self.lcf.members(candidates):
+            if candidate == vpn:
                 continue
             self._counters["lcf_hits"] += 1
             if self._trace_on:
@@ -201,26 +211,28 @@ class CoalescingAgent:
         :meth:`try_local`, but an *exact* resident entry also answers
         (the peer's RCF tracks exact VPNs too).
         """
-        self.stats.bump("peer_requests")
+        counters = self._counters
+        counters["peer_requests"] += 1
         exact = self.l2.probe(pasid, vpn)
         if exact is not None:
-            self.stats.bump("peer_exact_hits")
+            counters["peer_exact_hits"] += 1
             return exact
         entry = self.try_local(pasid, vpn)
         if entry is not None:
-            self.stats.bump("peer_calculated")
+            counters["peer_calculated"] += 1
         return entry
 
     def _calculated_entry(self, pasid: int, vpn: int,
                           sibling: TlbEntry) -> TlbEntry | None:
-        if sibling.pec is not None:
-            self.pec.record_descriptor(sibling.pec)
-        pfn = self.pec.calculate(pasid, sibling.vpn, sibling.coal, vpn)
-        if pfn is None:
+        desc = sibling.pec
+        if desc is not None:
+            self.pec.record_descriptor(desc)
+        calculated = self.pec.calculate_entry(pasid, vpn, sibling.vpn,
+                                              sibling.coal)
+        if calculated is None:
             return None
-        own = self.pec.synthesize_fields(pasid, vpn, sibling.vpn, sibling.coal)
-        return TlbEntry(pasid=pasid, vpn=vpn, global_pfn=pfn,
-                        coal=own, pec=sibling.pec)
+        pfn, own = calculated
+        return TlbEntry(pasid, vpn, pfn, own, desc)
 
     # -- maintenance -------------------------------------------------------------
 

@@ -92,13 +92,16 @@ def _hash_memo(fingerprint_bits: int,
     return _HASH_MEMOS.setdefault((fingerprint_bits, row_mask), {})
 
 
-@dataclass(slots=True, frozen=True)
+@dataclass(slots=True)
 class FilterEffect:
     """The exact result of one stream batch on one filter state.
 
     ``seq`` is the batch's stream position, or None when the filter that
     computed it had left the stream (its effect must not be shared).
     ``rows`` holds the final contents of every row the batch changed.
+    Treat it as immutable: every replica copies from it.  (Not frozen:
+    one is built per computed batch, and a frozen dataclass costs four
+    times as much to construct.)
     """
 
     config: CuckooConfig
@@ -186,6 +189,10 @@ class CuckooFilter:
     def __len__(self) -> int:
         return self._size
 
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Every row's fingerprints in slot order (the victim order)."""
+        return tuple(tuple(bucket) for bucket in self._buckets)
+
     def contains(self, item: int) -> bool:
         """Membership test; false positives possible.
 
@@ -196,6 +203,17 @@ class CuckooFilter:
         """
         fp, i1, i2 = self._hashes.get(item) or self._hash(item)
         return fp in self._buckets[i1] or fp in self._buckets[i2]
+
+    def members(self, items: Sequence[int]) -> list[int]:
+        """The items :meth:`contains` accepts, in order: one call probes
+        a whole candidate list (F-Barre's LCF search)."""
+        hashes, rehash, buckets = self._hashes, self._hash, self._buckets
+        found = []
+        for item in items:
+            fp, i1, i2 = hashes.get(item) or rehash(item)
+            if fp in buckets[i1] or fp in buckets[i2]:
+                found.append(item)
+        return found
 
     def insert(self, item: int, touched: set[int] | None = None) -> bool:
         """Insert; returns False when the filter is too full (no raise).
@@ -223,38 +241,43 @@ class CuckooFilter:
             return True
         if self._size >= self._kick_ceiling:
             return False  # saturated: kicking is hopeless, drop the update
-        # Kick a resident fingerprint to its alternate bucket.
+        # Kick a resident fingerprint to its alternate bucket.  Every
+        # bucket kicked from is full, so the victim is slot
+        # ``cursor % ways``; the chain records rows only and the unwind
+        # recomputes each slot from its cursor.
         cursor = self._kick_cursor
         row = i1 if (cursor & 1) == 0 else i2
-        cursor += 1
-        chain: list[tuple[int, int]] = []
+        first = cursor + 1
+        stop = first + self._max_kicks
+        chain: list[int] = []
         record = chain.append
         fp_xor = self._fp_xor
         ways = self._ways
-        for _ in range(self._max_kicks):
-            bucket = buckets[row]
-            victim_slot = cursor % len(bucket)
-            cursor += 1
-            record((row, victim_slot))
-            bucket[victim_slot], fp = fp, bucket[victim_slot]
+        bucket = buckets[row]
+        for cursor in range(first, stop):
+            slot = cursor % ways
+            record(row)
+            bucket[slot], fp = fp, bucket[slot]
             row ^= fp_xor[fp]
             bucket = buckets[row]
             if len(bucket) < ways:
                 bucket.append(fp)
                 self._size += 1
-                self._kick_cursor = cursor
+                self._kick_cursor = cursor + 1
                 if touched is not None:
                     touched.add(row)
-                    touched.update(kicked for kicked, _slot in chain)
+                    touched.update(chain)
                 return True
-        self._kick_cursor = cursor
+        self._kick_cursor = stop
         # Unwind the displacement chain so a failed insert drops only the
         # *new* fingerprint, never a resident victim's — this is what makes
         # "no false negatives for resident keys" a hard invariant rather
         # than a high-probability property (the validation subsystem
         # asserts it).
-        for kicked_row, slot in reversed(chain):
-            bucket = self._buckets[kicked_row]
+        kicks = zip(reversed(chain), range(stop - 1, first - 1, -1))
+        for row, cursor in kicks:
+            bucket = buckets[row]
+            slot = cursor % ways
             bucket[slot], fp = fp, bucket[slot]
         return False
 
@@ -286,7 +309,8 @@ class CuckooFilter:
         """
         on_stream = seq == self._next_seq
         if (on_stream and effect is not None and effect.seq == seq
-                and effect.config == self.config):
+                and (effect.config is self.config
+                     or effect.config == self.config)):
             buckets = self._buckets
             for row, contents in effect.rows:
                 buckets[row][:] = contents

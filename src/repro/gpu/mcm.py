@@ -256,8 +256,7 @@ def build_access_trace(config: SimConfig, workloads: Sequence[Workload],
             scaled = np.asarray(cta.page_offset, dtype=np.int64) // page_scale
             vpns = (starts[idx] + np.minimum(scaled, caps[idx])).tolist()
             per_chiplet_ctas[chiplet].append(
-                [TraceAccess(pasid=pasid, vpn=vpn, weight=weight, gap=gap)
-                 for vpn in vpns])
+                [TraceAccess(pasid, vpn, weight, gap) for vpn in vpns])
     return per_chiplet_ctas
 
 
@@ -352,7 +351,8 @@ class McmGpuSimulator:
         if not cfg.gmmu:
             self.iommu = Iommu(
                 self.queue, cfg.iommu, self.spaces, self.driver.pec_buffer,
-                self.memory_map.chiplet_bases, self._route_response,
+                self.memory_map.chiplet_bases,
+                respond=lambda response: None,  # see _bind_ats_route
                 barre_enabled=self.driver.barre_enabled,
                 compact_bitmap=self.driver.compact_bitmap,
                 tracer=self.tracer)
@@ -389,8 +389,7 @@ class McmGpuSimulator:
                 pec.tracer = self.tracer
                 agent = CoalescingAgent(
                     cid, cfg.num_chiplets, cfg.cuckoo, pec, l2,
-                    max_merge=self.driver.merge_max,
-                    send_update=self._make_update_sender(cid))
+                    max_merge=self.driver.merge_max)
                 agent.tracer = self.tracer
                 self.agents[cid] = agent
                 handler = FBarreHandler(
@@ -412,6 +411,13 @@ class McmGpuSimulator:
             self.chiplets.append(chiplet)
         for cid, handler in fbarre_handlers.items():
             handler.peers = fbarre_handlers
+        for cid, agent in self.agents.items():
+            agent.connect({
+                peer: (self.sharing_mesh.link(cid, peer).send,
+                       self.agents[peer].apply_update)
+                for peer in self.agents if peer != cid})
+        if self.iommu is not None:
+            self._bind_ats_route()
         for cid, handler in least_handlers.items():
             handler.peer_l2s = {c.chiplet_id: c.l2 for c in self.chiplets
                                 if c.chiplet_id != cid}
@@ -484,19 +490,20 @@ class McmGpuSimulator:
     def _is_mapped(self, pasid: int, vpn: int) -> bool:
         return pasid in self.spaces and self.spaces.get(pasid).is_mapped(vpn)
 
-    def _make_update_sender(self, src: int):
-        def send(peer: int, update) -> None:
-            self.sharing_mesh.send(
-                src, peer, update,
-                lambda u: self.agents[peer].apply_update(u),
-                packets=len(update))
-        return send
+    def _bind_ats_route(self) -> None:
+        """Resolve the IOMMU's response route once: the PCIe downlink's
+        ``send`` and each chiplet's ``deliver_response``."""
+        send = self.pcie.down.send
+        delivers = {cid: handler.deliver_response
+                    for cid, handler in self._ats_handlers.items()}
 
-    def _route_response(self, response) -> None:
-        self.pcie.down.send(
-            response,
-            lambda resp: self._ats_handlers[resp.dst_chiplet]
-            .deliver_response(resp))
+        def deliver(response) -> None:
+            delivers[response.dst_chiplet](response)
+
+        def respond(response) -> None:
+            send(response, deliver)
+
+        self.iommu.respond = respond
 
     # -- trace assembly ------------------------------------------------------
 

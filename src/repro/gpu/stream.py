@@ -18,9 +18,14 @@ from repro.common.stats import LatencyHistogram, StatSet
 from repro.common.trace import NULL_TRACER
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceAccess:
-    """One translation-triggering access."""
+    """One translation-triggering access.
+
+    Treat it as immutable: points built from one memoized trace share
+    these objects.  (Not frozen: a trace builds one per access, and a
+    frozen dataclass costs several times as much to construct.)
+    """
 
     pasid: int
     vpn: int

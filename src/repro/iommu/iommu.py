@@ -285,15 +285,16 @@ class Iommu:
                 rejected += 1
                 survivors.append(request)
                 continue
-            pfn = self.pec.calculate(pasid, vpn, fields, request.vpn)
-            if pfn is None:
+            calculated = self.pec.calculate_entry(pasid, request.vpn, vpn,
+                                                  fields)
+            if calculated is None:
                 survivors.append(request)
                 continue
-            self.stats.bump("pec_coalesced")
+            pfn, own = calculated
+            self._counters["pec_coalesced"] += 1
             if self.pasid_counters is not None:
                 self.pasid_counters[request.pasid]["pec_coalesced"] += 1
-            own = self.pec.synthesize_fields(pasid, request.vpn, vpn, fields)
-            if self._tlb is not None and own is not None:
+            if self._tlb is not None:
                 self._tlb.insert(TlbEntry(pasid=request.pasid, vpn=request.vpn,
                                           global_pfn=pfn, coal=own))
             self._finish(request, pfn, own, "pec")

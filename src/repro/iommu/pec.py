@@ -33,6 +33,10 @@ class PecLogic:
         #: enabled flag).
         self.tracer = NULL_TRACER
         self.stats = StatSet(name)
+        self._counters = self.stats.counters
+        #: Descriptor of the last successful :meth:`calculate`, which
+        #: :meth:`calculate_entry` reuses instead of looking it up again.
+        self._calculated_from: DataDescriptor | None = None
         #: Test-only fault injection: added to every calculated PFN.  The
         #: validation harness sets this to a non-zero offset to prove the
         #: oracle/invariant checker catches a miscalculating PEC datapath
@@ -60,19 +64,41 @@ class PecLogic:
         """
         if not fields.coalesced_under(self.compact_bitmap):
             return None
-        desc = self.descriptor_for(pasid, pte_vpn)
+        desc = self.pec_buffer.lookup(pasid, pte_vpn)
         if desc is None:
-            self.stats.bump("descriptor_misses")
+            self._counters["descriptor_misses"] += 1
             return None
         pfn = calculate_pending_pfn(desc, pte_vpn, fields, pending_vpn,
-                                    self.chiplet_bases,
-                                    compact=self.compact_bitmap)
-        self.stats.bump("calculations" if pfn is not None else "rejections")
-        if pfn is not None and self._trace_on:
+                                    self.chiplet_bases, self.compact_bitmap)
+        if pfn is None:
+            self._counters["rejections"] += 1
+            return None
+        self._counters["calculations"] += 1
+        self._calculated_from = desc
+        if self._trace_on:
             self.tracer.phase(pasid, pending_vpn, "pec_calculated")
-        if pfn is not None and self.inject_pfn_offset:
+        if self.inject_pfn_offset:
             pfn += self.inject_pfn_offset
         return pfn
+
+    def calculate_entry(self, pasid: int, pending_vpn: int, sibling_vpn: int,
+                        sibling_fields: PteFields
+                        ) -> tuple[int, PteFields] | None:
+        """:meth:`calculate` and :meth:`synthesize_fields` in one pass.
+
+        Returns ``(pfn, own_fields)`` for ``pending_vpn``, or None when the
+        sibling cannot calculate it.  The PFN comes from ``self.calculate``
+        (so a per-instance wrapper, such as the invariant checker's, sees
+        it) and is computed once: the fields reuse it and the descriptor
+        that calculation found.
+        """
+        pfn = self.calculate(pasid, sibling_vpn, sibling_fields, pending_vpn)
+        if pfn is None:
+            return None
+        # The test-only fault offset corrupts the returned PFN only.
+        return pfn, self._own_fields(
+            self._calculated_from, pending_vpn, sibling_vpn, sibling_fields,
+            pfn - self.inject_pfn_offset)
 
     def sibling_vpns(self, pasid: int, vpn: int,
                      fields: PteFields) -> list[int]:
@@ -83,7 +109,7 @@ class PecLogic:
         """
         if not fields.coalesced_under(self.compact_bitmap):
             return [vpn]
-        desc = self.descriptor_for(pasid, vpn)
+        desc = self.pec_buffer.lookup(pasid, vpn)
         if desc is None:
             return [vpn]
         return merged_group_vpns(desc, vpn, fields)
@@ -97,23 +123,27 @@ class PecLogic:
         when merged groups are possible — the intra-offset neighbours within
         the merge window (Section V-A3).
         """
-        desc = self.descriptor_for(pasid, vpn)
+        desc = self.pec_buffer.lookup(pasid, vpn)
         if desc is None:
             return []
         gran = desc.interlv_gran
-        round_pages = desc.round_pages
-        rnd, within = divmod(vpn - desc.start_vpn, round_pages)
+        round_end = desc.round_pages
+        within = (vpn - desc.start_vpn) % round_end
+        first = vpn - within
+        round_end += first
         intra = within % gran
-        intra_lo = max(0, intra - (max_merge - 1))
-        intra_hi = min(gran - 1, intra + (max_merge - 1))
+        lo = intra - max_merge + 1
+        if lo < 0:
+            lo = 0
+        hi = intra + max_merge
+        if hi > gran:
+            hi = gran
         # Each sharer's row starts inside the data, so only its end bounds.
         stop = desc.end_vpn + 1
-        first = desc.start_vpn + rnd * round_pages
-        candidates = []
-        for row in range(first, first + round_pages, gran):
-            candidates.extend(range(row + intra_lo,
-                                    min(row + intra_hi + 1, stop)))
-        return candidates
+        if hi - lo == 1:
+            return list(range(first + lo, min(round_end, stop), gran))
+        return [candidate for row in range(first, round_end, gran)
+                for candidate in range(row + lo, min(row + hi, stop))]
 
     def synthesize_fields(self, pasid: int, pending_vpn: int,
                           sibling_vpn: int,
@@ -133,8 +163,15 @@ class PecLogic:
                                     compact=self.compact_bitmap)
         if pfn is None:
             return None
-        gran = desc.interlv_gran
+        return self._own_fields(desc, pending_vpn, sibling_vpn,
+                                sibling_fields, pfn)
+
+    @staticmethod
+    def _own_fields(desc: DataDescriptor, pending_vpn: int, sibling_vpn: int,
+                    sibling_fields: PteFields, pfn: int) -> PteFields:
+        """The pending page's PTE fields, given its calculated PFN."""
         if sibling_fields.extended and sibling_fields.merged_groups > 1:
+            gran = desc.interlv_gran
             first = (sibling_vpn - sibling_fields.intra_gpu_coal_order
                      - gran * sibling_fields.inter_gpu_coal_order)
             j, i = divmod(pending_vpn - first, gran)

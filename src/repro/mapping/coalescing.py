@@ -139,11 +139,10 @@ def merged_group_vpns(desc: DataDescriptor, vpn: int,
     first = (vpn - fields.intra_gpu_coal_order
              - gran * fields.inter_gpu_coal_order)
     start, stop = desc.start_vpn, desc.end_vpn + 1
-    members = []
-    for row in range(first, first + desc.round_pages, gran):
-        members.extend(range(max(row, start),
-                             min(row + fields.merged_groups, stop)))
-    return members
+    width = fields.merged_groups
+    return [member for row in range(first, first + desc.round_pages, gran)
+            for member in range(row if row > start else start,
+                                min(row + width, stop))]
 
 
 def calculate_pending_pfn(desc: DataDescriptor, pte_vpn: int,
@@ -234,11 +233,17 @@ class PecBuffer:
         """Add a descriptor, evicting the smallest-data entry when full.
 
         Returns the evicted descriptor, if any.  Re-inserting a descriptor
-        for the same (pasid, data_id) replaces the old entry.
+        for the same (pasid, data_id) replaces the old entry; re-inserting
+        the very descriptor already held changes nothing.
         """
-        for i, existing in enumerate(self._entries):
-            if (existing.pasid, existing.data_id) == (desc.pasid, desc.data_id):
-                self._entries[i] = desc
+        entries = self._entries
+        for existing in entries:
+            if existing is desc:
+                return None
+        pasid, data_id = desc.pasid, desc.data_id
+        for i, existing in enumerate(entries):
+            if existing.pasid == pasid and existing.data_id == data_id:
+                entries[i] = desc
                 return None
         if len(self._entries) < self.capacity:
             self._entries.append(desc)

@@ -8,6 +8,7 @@ this is what makes ATS traffic reduction (Fig 16c) translate into speedup.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable
 
 from repro.common.config import LinkConfig
@@ -58,7 +59,7 @@ class Link:
             self._samples["queueing"] += 1
             arrival = depart + self._latency
         self._counters["packets"] += packets
-        queue.schedule(arrival - now, lambda: deliver(payload))
+        queue.schedule(arrival - now, partial(deliver, payload))
         return arrival
 
     def occupy(self, cycles: int) -> None:

@@ -88,7 +88,8 @@ class PteFields:
     @property
     def is_coalesced(self) -> bool:
         """True when more than one chiplet participates (Section IV-F)."""
-        return bin(self.coal_bitmap).count("1") > 1
+        bitmap = self.coal_bitmap
+        return bitmap & (bitmap - 1) != 0  # a second set bit
 
     def coalesced_under(self, compact: bool) -> bool:
         """Coalescing test under either bitmap encoding.

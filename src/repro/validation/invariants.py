@@ -105,6 +105,11 @@ class CheckedCuckooFilter:
                 f"{item:#x} ({self._protected[item]} protected copies)")
         return present
 
+    def members(self, items: Sequence[int]) -> list[int]:
+        """Batched probe: every item goes through the checked
+        :meth:`contains`."""
+        return [item for item in items if self.contains(item)]
+
     def clear(self) -> None:
         self._inner.clear()
         self._protected.clear()

@@ -20,6 +20,7 @@ from repro.mapping import (
     make_policy,
 )
 from repro.memsim import AddressSpaceRegistry, Mesh, Tlb, TlbEntry
+from tests.test_fbarre import connect_directly
 
 import pytest
 
@@ -112,8 +113,7 @@ class TestFBarreRemoteMissFallback:
                                           ats[cid], 10)
         for cid in range(2):
             handlers[cid].peers = handlers
-            agents[cid].send_update = (
-                lambda peer, upd, _a=agents: _a[peer].apply_update(upd))
+        connect_directly(agents)
 
         # GPU0 holds the entry; GPU1's RCF learns of it...
         l2s[0].insert(TlbEntry(pasid=0, vpn=rec.start_vpn,

@@ -18,6 +18,21 @@ from repro.memsim import AddressSpaceRegistry, Tlb, TlbEntry
 from repro.validation import fuzz_workload
 
 
+def connect_directly(agents, sent=None):
+    """Wire ``{cid: agent}`` so every filter update is applied on send (no
+    mesh); ``sent``, when given, collects ``(src, peer, update)``."""
+    def route(src, peer):
+        def send(update, deliver, _packets):
+            if sent is not None:
+                sent.append((src, peer, update))
+            deliver(update)
+        return send
+
+    for src, agent in agents.items():
+        agent.connect({peer: (route(src, peer), agents[peer].apply_update)
+                       for peer in agents if peer != src})
+
+
 class Harness:
     """Two chiplets with Barre-mapped data, wired agents, captured updates."""
 
@@ -37,16 +52,10 @@ class Harness:
                                mshrs=16), name=f"l2.{cid}")
             pec = PecLogic(PecBuffer(5), self.mm.chiplet_bases)
             agent = CoalescingAgent(
-                cid, num_chiplets, cuckoo, pec, l2, max_merge=merge,
-                send_update=self._sender(cid))
+                cid, num_chiplets, cuckoo, pec, l2, max_merge=merge)
             self.agents.append(agent)
             self.l2s.append(l2)
-
-    def _sender(self, src):
-        def send(peer, update):
-            self.sent.append((src, peer, update))
-            self.agents[peer].apply_update(update)
-        return send
+        connect_directly(dict(enumerate(self.agents)), self.sent)
 
     def alloc(self, pages, row_pages=1, data_id=1):
         return self.driver.malloc(AllocationRequest(

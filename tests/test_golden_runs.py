@@ -199,6 +199,48 @@ def test_engine_field_changes_cache_key_not_payload_bytes() -> None:
         "change cache bytes for every result")
 
 
+#: Golden points whose F-Barre agents' end state is pinned as well.  The
+#: SimResult payload leaves out ``rcf_insert_drops``, ``updates_applied``,
+#: which replica computed each filter update, and the filters' exact
+#: contents, so a filter refactor could move those and keep every digest.
+AGENT_POINTS = ("fbarre-fft", "fbarre-16c-gemv")
+AGENT_DIR = GOLDEN_DIR / "agents"
+
+
+def _filter_digest(f) -> str:
+    """SHA-256 over a filter's ordered rows, size and kick cursor."""
+    state = [[list(row) for row in f.rows()], len(f), f._kick_cursor]
+    return hashlib.sha256(json.dumps(state).encode()).hexdigest()
+
+
+def _agent_state(name: str) -> dict:
+    factory, args, app = POINTS[name]
+    sim = McmGpuSimulator(factory(*args), [get_workload(app)],
+                          trace_scale=SCALE)
+    sim.run()
+    return {"point": name, "agents": {
+        str(cid): {
+            "stats": dict(sorted(agent.stats.counters.items())),
+            "updates_computed": agent.updates_computed,
+            "updates_replayed": agent.updates_replayed,
+            "lcf": _filter_digest(agent.lcf),
+            "rcfs": {str(peer): _filter_digest(rcf)
+                     for peer, rcf in sorted(agent.rcfs.items())},
+        } for cid, agent in sim.agents.items()}}
+
+
+@pytest.mark.parametrize("name", AGENT_POINTS)
+def test_fbarre_agent_state_is_pinned(name: str) -> None:
+    """Every agent's counters, replica split and filter contents."""
+    golden = json.loads((AGENT_DIR / f"{name}.json").read_text())
+    actual = _agent_state(name)
+    assert actual["agents"].keys() == golden["agents"].keys()
+    for cid, agent in golden["agents"].items():
+        assert actual["agents"][cid] == agent, (
+            f"{name}: agent {cid} drifted; first divergence -> "
+            f"{_first_divergence(agent, actual['agents'][cid])}")
+
+
 def test_golden_matrix_has_no_strays() -> None:
     """Every golden file corresponds to a live matrix point."""
     on_disk = {p.stem for p in GOLDEN_DIR.glob("*.json")}
@@ -220,6 +262,12 @@ def _regen() -> None:
                             + "\n")
             print(f"wrote {path} ({digest['spans']} spans, "
                   f"{digest['stats']['cycles']} cycles)")
+        AGENT_DIR.mkdir(exist_ok=True)
+        for name in AGENT_POINTS:
+            path = AGENT_DIR / f"{name}.json"
+            path.write_text(json.dumps(_agent_state(name), indent=1,
+                                       sort_keys=True) + "\n")
+            print(f"wrote {path}")
 
 
 if __name__ == "__main__":

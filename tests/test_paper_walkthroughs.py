@@ -23,6 +23,7 @@ from repro.mapping import (
     make_policy,
 )
 from repro.memsim import AddressSpaceRegistry, Tlb, TlbEntry
+from tests.test_fbarre import connect_directly
 
 
 def build_system(num_chiplets=2):
@@ -80,11 +81,8 @@ class TestFig12Walkthrough:
             pec = PecLogic(PecBuffer(5), self.mm.chiplet_bases)
             self.l2[cid] = l2
             self.agents[cid] = CoalescingAgent(
-                cid, 2, CuckooConfig(rows=64), pec, l2,
-                send_update=self._deliver)
-
-    def _deliver(self, peer, update):
-        self.agents[peer].apply_update(update)
+                cid, 2, CuckooConfig(rows=64), pec, l2)
+        connect_directly(self.agents)
 
     def test_steps_0_through_8(self):
         table = self.spaces.get(0)

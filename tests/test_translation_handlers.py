@@ -19,6 +19,7 @@ from repro.mapping import (
     make_policy,
 )
 from repro.memsim import AddressSpaceRegistry, Link, Mesh, Tlb, TlbEntry
+from tests.test_fbarre import connect_directly
 
 
 class Rig:
@@ -165,8 +166,7 @@ def make_fbarre_pair(rig):
                                       rig.handlers[cid], l2_probe_latency=10)
     for cid in range(2):
         handlers[cid].peers = handlers
-        agents[cid].send_update = (
-            lambda peer, upd, _a=agents: _a[peer].apply_update(upd))
+    connect_directly(agents)
     return handlers, agents, l2s
 
 

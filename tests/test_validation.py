@@ -112,6 +112,21 @@ def test_checker_catches_pec_miscalculation():
         sim.run()
 
 
+@pytest.mark.parametrize("app", ["fft", "gemv", "spmv"])
+def test_checker_catches_agent_pec_miscalculation(app):
+    """F-Barre's chiplet-side PECs are checked too: an offset armed on the
+    agents' PECs only (the IOMMU's stays correct) trips the per-instance
+    ``calculate`` wrapper, so no agent path may bypass it."""
+    sim = McmGpuSimulator(configs.fbarre(), [get_workload(app)],
+                          trace_scale=0.05, check_invariants=True)
+    for agent in sim.agents.values():
+        agent.pec.inject_pfn_offset = 1
+    assert sim.iommu.pec.inject_pfn_offset == 0
+    with pytest.raises(InvariantViolation,
+                       match=r"pec\[agent\.\d+\] calculated PFN"):
+        sim.run()
+
+
 def test_checker_rejects_illegal_mshr_release():
     cfg = configs.baseline(seed=0)
     sim = McmGpuSimulator(cfg, [tiny_workload()], check_invariants=True)
