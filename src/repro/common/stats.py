@@ -83,11 +83,6 @@ class StatSet:
             out[f"{key}_samples"] = self._counts[key]
         return out
 
-    def ratio(self, numerator: str, denominator: str) -> float:
-        """counter[numerator] / counter[denominator], 0.0 when empty."""
-        denom = self._counters[denominator]
-        return self._counters[numerator] / denom if denom else 0.0
-
 
 @dataclass
 class Histogram:
@@ -100,10 +95,6 @@ class Histogram:
 
     def total(self) -> int:
         return sum(self.buckets.values())
-
-    def fraction_at(self, value: int) -> float:
-        total = self.total()
-        return self.buckets[value] / total if total else 0.0
 
     def fraction_in(self, values: Iterable[int]) -> float:
         total = self.total()

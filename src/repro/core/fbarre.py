@@ -61,16 +61,14 @@ class CoalescingAgent:
 
     def __init__(self, chiplet_id: int, num_chiplets: int,
                  cuckoo: CuckooConfig, pec: PecLogic, l2: Tlb, *,
-                 max_merge: int = 1) -> None:
+                 max_merge: int = 1, tracer=NULL_TRACER) -> None:
         self.chiplet_id = chiplet_id
         self.num_chiplets = num_chiplets
         self.pec = pec
         self.l2 = l2
         self.max_merge = max_merge
-        #: Translation-path tracer (no-op unless the MCM enables tracing;
-        #: assigned after construction, so the setter refreshes the cached
-        #: enabled flag).
-        self.tracer = NULL_TRACER
+        self.tracer = tracer
+        self._trace_on = tracer.enabled
         self.stats = StatSet(f"fbarre.{chiplet_id}")
         self._counters = self.stats.counters
         self.lcf = CuckooFilter(cuckoo)
@@ -99,15 +97,6 @@ class CoalescingAgent:
         ``(send, deliver)`` pair: the MCM passes the mesh link's
         ``Link.send`` and the peer agent's ``apply_update``."""
         self._routes = tuple(routes[peer] for peer in self._peer_order)
-
-    @property
-    def tracer(self):
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        self._tracer = tracer
-        self._trace_on = tracer.enabled
 
     # -- TLB mirroring -------------------------------------------------------
 

@@ -33,6 +33,11 @@ from repro.memsim.tlb import Tlb, TlbEntry
 FILTER_CHECK_LATENCY = 1
 #: Cycles a peer spends serving a coalescing request: LCF check + L2 probe.
 PEER_SERVE_LATENCY = 11
+#: Valkyrie prefetches one chiplet may have outstanding at once.
+MAX_PREFETCHES = 2
+#: Cycles after which an unanswered prefetch frees its slot: the IOMMU
+#: silently drops prefetch walks under pressure.
+PREFETCH_EXPIRY = 10_000
 
 DoneCallback = Callable[[TlbEntry], None]
 
@@ -52,6 +57,7 @@ class AtsHandler(MissHandler):
                  deliver_to_iommu: Callable[[AtsRequest], None], *,
                  prefetch_next: bool = False,
                  is_mapped: Callable[[int, int], bool] | None = None,
+                 dead_pasids: set[int] | None = None,
                  tracer=NULL_TRACER) -> None:
         self.queue = queue
         self.chiplet_id = chiplet_id
@@ -64,22 +70,21 @@ class AtsHandler(MissHandler):
         self.stats = StatSet(f"ats.{chiplet_id}")
         self._counters = self.stats.counters
         self._waiting: dict[tuple[int, int], list[DoneCallback]] = {}
-        #: Outstanding prefetches (key -> issue cycle).  Bounded, and stale
-        #: entries expire: the IOMMU silently drops prefetch walks under
-        #: pressure, so a slot must not leak forever.
+        #: Outstanding prefetches (key -> issue cycle).  Bounded by
+        #: MAX_PREFETCHES, and stale entries expire after PREFETCH_EXPIRY
+        #: so a slot must not leak forever.
         self._prefetching: dict[tuple[int, int], int] = {}
-        self.max_prefetches = 2
-        self.prefetch_expiry = 10_000
         #: Hook for prefetch fills (wired to the chiplet's L2 insert).
         self.on_prefetch_fill: Callable[[TlbEntry], None] | None = None
-        #: Torn-down address spaces (shared with the simulator in scenario
-        #: runs).  A resolve can arrive *after* teardown purged this
-        #: handler: an F-Barre/Least peer probe in flight over the mesh
-        #: when the PASID died falls back to ATS on return.  The IOMMU
+        #: Torn-down address spaces (the simulator's one set).  A resolve
+        #: can arrive *after* teardown purged this handler: an
+        #: F-Barre/Least peer probe in flight over the mesh when the
+        #: PASID died falls back to ATS on return.  The IOMMU
         #: would flush the request without responding, so enqueueing a
         #: waiter here would leak it forever — drop the resolve instead
         #: (its stream is already cancelled; nobody consumes the reply).
-        self.dead_pasids: set[int] = set()
+        self.dead_pasids: set[int] = (set() if dead_pasids is None
+                                      else dead_pasids)
 
     def resolve(self, pasid: int, vpn: int, done: DoneCallback) -> None:
         if pasid in self.dead_pasids:
@@ -106,9 +111,9 @@ class AtsHandler(MissHandler):
         key = (pasid, vpn)
         now = self.queue.now
         for stale in [k for k, t in self._prefetching.items()
-                      if now - t > self.prefetch_expiry]:
+                      if now - t > PREFETCH_EXPIRY]:
             del self._prefetching[stale]
-        if len(self._prefetching) >= self.max_prefetches:
+        if len(self._prefetching) >= MAX_PREFETCHES:
             self.stats.bump("prefetch_throttled")
             return
         if key in self._waiting or key in self._prefetching:
@@ -228,14 +233,13 @@ class LeastHandler(MissHandler):
     """
 
     def __init__(self, queue: EventQueue, chiplet_id: int, mesh: Mesh,
-                 ats: AtsHandler, l2_probe_latency: int,
-                 tracker_capacity: int = 1024, *, tracer=NULL_TRACER) -> None:
+                 ats: AtsHandler, l2_probe_latency: int, *,
+                 tracer=NULL_TRACER) -> None:
         self.queue = queue
         self.chiplet_id = chiplet_id
         self.mesh = mesh
         self.ats = ats
         self.l2_probe_latency = l2_probe_latency
-        self.tracker_capacity = tracker_capacity
         self.tracer = tracer
         self._trace_on = tracer.enabled
         self.stats = StatSet(f"least.{chiplet_id}")

@@ -137,13 +137,10 @@ def _pool_width(jobs: int, misses: int) -> int:
 
     A simulation point is CPU-bound pure Python, so workers beyond the
     core count only add context switching and memory pressure (measured
-    ~1.2x slower at ``REPRO_JOBS=4`` on one core).  Set
-    ``REPRO_OVERSUBSCRIBE=1`` to force the literal ``REPRO_JOBS`` width.
+    ~1.2x slower at ``REPRO_JOBS=4`` on one core).
     """
     width = min(jobs, misses)
-    if not os.environ.get("REPRO_OVERSUBSCRIBE"):
-        width = min(width, os.cpu_count() or width)
-    return max(1, width)
+    return max(1, min(width, os.cpu_count() or width))
 
 
 def _emit_finish(events, pp: PlannedPoint, seconds: float,

@@ -14,7 +14,6 @@ from typing import Callable
 
 from repro.common.config import IommuConfig
 from repro.common.events import EventQueue
-from repro.common.trace import NULL_TRACER
 from repro.iommu.ats import AtsRequest, AtsResponse
 from repro.iommu.iommu import Iommu
 from repro.mapping.coalescing import PecBuffer
@@ -31,13 +30,11 @@ class Gmmu(Iommu):
                  config: IommuConfig, spaces: AddressSpaceRegistry,
                  pec_buffer: PecBuffer, chiplet_bases: tuple[int, ...],
                  respond: Callable[[AtsResponse], None],
-                 pt_owner: Callable[[int, int], int], mesh: Mesh, *,
-                 barre_enabled: bool = False,
-                 compact_bitmap: bool = False,
-                 tracer=NULL_TRACER) -> None:
+                 pt_owner: Callable[[int, int], int], mesh: Mesh,
+                 **walker) -> None:
+        """``walker`` holds :class:`Iommu`'s keyword-only arguments."""
         super().__init__(queue, config, spaces, pec_buffer, chiplet_bases,
-                         respond, barre_enabled=barre_enabled,
-                         compact_bitmap=compact_bitmap, tracer=tracer)
+                         respond, **walker)
         self.chiplet_id = chiplet_id
         self.pt_owner = pt_owner
         self.mesh = mesh
@@ -59,23 +56,21 @@ class Gmmu(Iommu):
         return self.config.walk_latency + 2 * self.mesh.link(
             self.chiplet_id, owner).config.latency
 
-    def remote_walk_fraction(self) -> float:
-        total = self.stats.count("local_walks") + self.stats.count("remote_walks")
-        return self.stats.count("remote_walks") / total if total else 0.0
-
 
 class GmmuHandler(MissHandler):
     """Routes a chiplet's L2 misses into its local GMMU."""
 
-    def __init__(self, gmmu: Gmmu, chiplet_id: int) -> None:
+    def __init__(self, gmmu: Gmmu, chiplet_id: int, *,
+                 dead_pasids: set[int] | None = None) -> None:
         self.gmmu = gmmu
         self.chiplet_id = chiplet_id
         self._waiting: dict[tuple[int, int], list[Callable]] = {}
         self.gmmu.respond = self._deliver
-        #: Torn-down address spaces (shared with the simulator in scenario
-        #: runs); a post-teardown resolve would leak a waiter forever —
-        #: the GMMU flushes dead-PASID requests without responding.
-        self.dead_pasids: set[int] = set()
+        #: Torn-down address spaces (the simulator's one set); a
+        #: post-teardown resolve would leak a waiter forever — the GMMU
+        #: flushes dead-PASID requests without responding.
+        self.dead_pasids: set[int] = (set() if dead_pasids is None
+                                      else dead_pasids)
 
     def resolve(self, pasid: int, vpn: int, done: Callable) -> None:
         if pasid in self.dead_pasids:

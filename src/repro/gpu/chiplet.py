@@ -35,6 +35,8 @@ class Chiplet:
     def __init__(self, queue: EventQueue, chiplet_id: int, config: SimConfig,
                  l2: Tlb, l2_mshr: MshrFile, miss_handler: MissHandler, *,
                  valkyrie_l1_probing: bool = False,
+                 agent: CoalescingAgent | None = None,
+                 dead_pasids: set[int] | None = None,
                  tracer=NULL_TRACER) -> None:
         self.queue = queue
         self.chiplet_id = chiplet_id
@@ -50,20 +52,19 @@ class Chiplet:
         self._trace_on = tracer.enabled
         self._l1_latency = config.l1_tlb.lookup_latency
         self._l2_latency = config.l2_tlb.lookup_latency
-        self.l2.tracer = tracer
-        self.l1s = [Tlb(config.l1_tlb, name=f"l1.{chiplet_id}.{s}")
+        self.l1s = [Tlb(config.l1_tlb, name=f"l1.{chiplet_id}.{s}",
+                        tracer=tracer)
                     for s in range(config.streams_per_chiplet)]
-        for l1 in self.l1s:
-            l1.tracer = tracer
         self._l1_mshrs = [MshrFile(config.l1_tlb.mshrs,
                                    name=f"l1mshr.{chiplet_id}.{s}")
                           for s in range(config.streams_per_chiplet)]
         #: F-Barre agent (None for other backends).
-        self.agent: CoalescingAgent | None = None
-        #: PASIDs torn down mid-run.  Scenario mode points every chiplet at
-        #: one shared set; the default path keeps it empty so the guards
-        #: are a no-op membership test on the miss path only.
-        self.dead_pasids: set[int] = set()
+        self.agent = agent
+        #: PASIDs torn down mid-run (the simulator's one set).  Outside
+        #: scenario mode it stays empty, so the guards are a no-op
+        #: membership test on the miss path only.
+        self.dead_pasids: set[int] = (set() if dead_pasids is None
+                                      else dead_pasids)
 
     # -- translation pipeline ---------------------------------------------------
 

@@ -344,6 +344,13 @@ class McmGpuSimulator:
                                    dram_serialization=cfg.dram_serialization)
         self.pcie = DuplexLink(self.queue, cfg.pcie, name="pcie")
 
+        #: PASIDs torn down mid-run: one set, handed to every dead-PASID
+        #: guard (chiplets, miss handlers, walkers).  Stays empty outside
+        #: scenario mode.
+        self.dead_pasids: set[int] = set()
+        #: One per-PASID counter bag across all walk sources, so the
+        #: conservation law reads merged totals directly.
+        self._pasid_counters: defaultdict[int, Counter] = defaultdict(Counter)
         self._ats_handlers: dict[int, AtsHandler] = {}
         self._gmmu_handlers: list[GmmuHandler] = []
         self.iommu: Iommu | None = None
@@ -353,11 +360,7 @@ class McmGpuSimulator:
                 self.queue, cfg.iommu, self.spaces, self.driver.pec_buffer,
                 self.memory_map.chiplet_bases,
                 respond=lambda response: None,  # see _bind_ats_route
-                barre_enabled=self.driver.barre_enabled,
-                compact_bitmap=self.driver.compact_bitmap,
-                tracer=self.tracer)
-            if self.pager is not None:
-                self.iommu.fault_handler = self.pager.handle_fault
+                **self._walker_kwargs())
 
         shared_l2 = None
         shared_l2_mshr = None
@@ -367,7 +370,7 @@ class McmGpuSimulator:
                 ways=cfg.l2_tlb.ways,
                 lookup_latency=cfg.l2_tlb.lookup_latency,
                 mshrs=cfg.l2_tlb.mshrs * cfg.num_chiplets)
-            shared_l2 = Tlb(shared_cfg, name="l2.shared")
+            shared_l2 = Tlb(shared_cfg, name="l2.shared", tracer=self.tracer)
             shared_l2_mshr = MshrFile(shared_cfg.mshrs, name="l2mshr.shared")
 
         self.chiplets: list[Chiplet] = []
@@ -376,7 +379,7 @@ class McmGpuSimulator:
         least_handlers: dict[int, LeastHandler] = {}
         for cid in range(cfg.num_chiplets):
             l2 = shared_l2 if shared_l2 is not None else Tlb(
-                cfg.l2_tlb, name=f"l2.{cid}")
+                cfg.l2_tlb, name=f"l2.{cid}", tracer=self.tracer)
             l2_mshr = shared_l2_mshr if shared_l2_mshr is not None else \
                 MshrFile(cfg.l2_tlb.mshrs, name=f"l2mshr.{cid}")
             base = self._base_handler(cid)
@@ -385,12 +388,10 @@ class McmGpuSimulator:
                 pec = PecLogic(PecBuffer(cfg.pec_buffer_entries),
                                self.memory_map.chiplet_bases,
                                compact_bitmap=self.driver.compact_bitmap,
-                               name=f"pec.{cid}")
-                pec.tracer = self.tracer
+                               name=f"pec.{cid}", tracer=self.tracer)
                 agent = CoalescingAgent(
                     cid, cfg.num_chiplets, cfg.cuckoo, pec, l2,
-                    max_merge=self.driver.merge_max)
-                agent.tracer = self.tracer
+                    max_merge=self.driver.merge_max, tracer=self.tracer)
                 self.agents[cid] = agent
                 handler = FBarreHandler(
                     self.queue, cid, agent, self.sharing_mesh, base,
@@ -404,8 +405,8 @@ class McmGpuSimulator:
             chiplet = Chiplet(
                 self.queue, cid, cfg, l2, l2_mshr, handler,
                 valkyrie_l1_probing=cfg.backend is BackendKind.VALKYRIE,
+                agent=self.agents.get(cid), dead_pasids=self.dead_pasids,
                 tracer=self.tracer)
-            chiplet.agent = self.agents.get(cid)
             if isinstance(base, AtsHandler):
                 base.on_prefetch_fill = chiplet.fill_l2_prefetch
             self.chiplets.append(chiplet)
@@ -428,30 +429,26 @@ class McmGpuSimulator:
                 self.queue, cfg.migration, self.driver, self.chiplets,
                 self.mesh, page_scale=self.page_scale)
 
-        #: PASIDs torn down mid-run; shared by every chiplet's dead-PASID
-        #: guards.  Stays empty outside scenario mode.
-        self.dead_pasids: set[int] = set()
         self._streams_by_pasid: dict[int, list[AccessStream]] = {}
         self._teardowns = 0
         #: Set to a PASID to re-insert one of its L2 entries after its
         #: teardown — the invariant checker's stale-entry self-test.
         self.inject_stale_pasid: int | None = None
-        self._pasid_counters: defaultdict[int, Counter] = defaultdict(Counter)
-        if self.scenario is not None:
-            for chiplet in self.chiplets:
-                chiplet.dead_pasids = self.dead_pasids
-            for ats in self._ats_handlers.values():
-                ats.dead_pasids = self.dead_pasids
-            for gmmu_handler in self._gmmu_handlers:
-                gmmu_handler.dead_pasids = self.dead_pasids
-            # One shared per-PASID counter bag across all walk sources, so
-            # the conservation law reads merged totals directly.
-            for src in ([self.iommu] if self.iommu is not None
-                        else self.gmmus):
-                src.per_pasid_gaps = True
-                src.pasid_counters = self._pasid_counters
 
         self._build_streams()
+
+    def _walker_kwargs(self) -> dict:
+        """Collaborators every walk source (IOMMU or GMMU) is built with."""
+        return dict(
+            barre_enabled=self.driver.barre_enabled,
+            compact_bitmap=self.driver.compact_bitmap,
+            fault_handler=(self.pager.handle_fault if self.pager is not None
+                           else None),
+            dead_pasids=self.dead_pasids,
+            # Scenario mode counts (and keys VPN gaps) per PASID.
+            pasid_counters=(self._pasid_counters
+                            if self.scenario is not None else None),
+            tracer=self.tracer)
 
     def _base_handler(self, cid: int):
         cfg = self.config
@@ -466,20 +463,17 @@ class McmGpuSimulator:
                 self.driver.pec_buffer, self.memory_map.chiplet_bases,
                 respond=lambda resp: None,  # replaced by GmmuHandler
                 pt_owner=self._pt_owner, mesh=self.mesh,
-                barre_enabled=self.driver.barre_enabled,
-                compact_bitmap=self.driver.compact_bitmap,
-                tracer=self.tracer)
-            if self.pager is not None:
-                gmmu.fault_handler = self.pager.handle_fault
+                **self._walker_kwargs())
             self.gmmus.append(gmmu)
-            handler = GmmuHandler(gmmu, cid)
+            handler = GmmuHandler(gmmu, cid, dead_pasids=self.dead_pasids)
             self._gmmu_handlers.append(handler)
             return handler
         assert self.iommu is not None
         handler = AtsHandler(
             self.queue, cid, self.pcie.up, self.iommu.receive,
             prefetch_next=cfg.backend is BackendKind.VALKYRIE,
-            is_mapped=self._is_mapped, tracer=self.tracer)
+            is_mapped=self._is_mapped, dead_pasids=self.dead_pasids,
+            tracer=self.tracer)
         self._ats_handlers[cid] = handler
         return handler
 

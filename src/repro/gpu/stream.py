@@ -58,14 +58,13 @@ class AccessStream:
         # and the counter bag is live-shared with ``stats`` (see StatSet).
         self._trace_on = tracer.enabled
         self._counters = self.stats.counters
-        self._sums = self.stats.sums
-        self._obs_counts = self.stats.sample_counts
         self._schedule = queue.schedule
         self._translate = translate
         self._access_data = access_data
         self._complete_cb = self._complete
-        #: Full translation-latency distribution (always on; log2 buckets
-        #: keep it cheap and make cross-worker merges deterministic).
+        #: Full translation-latency distribution, the one record of it
+        #: (always on; log2 buckets keep it cheap and make cross-worker
+        #: merges deterministic, and it keeps the exact sum and count).
         self.latency_hist = LatencyHistogram()
         self._next_index = 0
         self._num_accesses = len(accesses)
@@ -121,10 +120,8 @@ class AccessStream:
             if self._cancelled:
                 return  # no-stale-translation: drop post-teardown replies
             latency = self.queue.now - issued_at
-            # Inlined stats.observe + latency_hist.add (latency is a
-            # nonnegative int here, so the method-level guards are moot).
-            self._sums["translation_latency"] += latency
-            self._obs_counts["translation_latency"] += 1
+            # Inlined latency_hist.add (latency is a nonnegative int here,
+            # so the method-level guards are moot).
             hist = self.latency_hist
             hist.buckets[latency.bit_length()] += 1
             hist.sum += latency

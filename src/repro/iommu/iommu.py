@@ -45,6 +45,9 @@ class Iommu:
                  respond: Callable[[AtsResponse], None], *,
                  barre_enabled: bool = False,
                  compact_bitmap: bool = False,
+                 fault_handler: Callable[[int, int], int] | None = None,
+                 dead_pasids: set[int] | None = None,
+                 pasid_counters: dict | None = None,
                  tracer=NULL_TRACER) -> None:
         self.queue = queue
         self.config = config
@@ -65,21 +68,22 @@ class Iommu:
         #: Distribution of |VPN gap| between consecutive arrivals (Fig 5).
         self.vpn_gaps = Histogram()
         self._last_vpn: int | None = None
-        #: Scenario mode keys the gap stream per PASID so one tenant's
-        #: arrivals don't pollute another's locality histogram.  Off by
-        #: default: the single-app path must stay byte-identical.
-        self.per_pasid_gaps = False
         self._last_vpn_by_pasid: dict[int, int] = {}
-        #: Opt-in per-PASID conservation counters (scenario mode installs a
-        #: ``defaultdict(Counter)`` here; None keeps the default path free).
-        self.pasid_counters: dict | None = None
-        #: Address spaces explicitly destroyed by teardown.  The dead-PASID
-        #: guards key off this, NOT off registry membership: a walk for a
-        #: never-created space must still be a hard error, not a flush.
-        self.dead_pasids: set[int] = set()
+        #: Opt-in per-PASID conservation counters: scenario mode passes one
+        #: ``defaultdict(Counter)`` shared by every walk source, and then
+        #: also keys the gap stream per PASID so one tenant's arrivals
+        #: don't pollute another's locality histogram.  None keeps the
+        #: single-app path free and byte-identical.
+        self.pasid_counters = pasid_counters
+        #: Address spaces explicitly destroyed by teardown (the simulator's
+        #: one set in scenario mode).  The dead-PASID guards key off this,
+        #: NOT off registry membership: a walk for a never-created space
+        #: must still be a hard error, not a flush.
+        self.dead_pasids: set[int] = (set() if dead_pasids is None
+                                      else dead_pasids)
         self.pec = PecLogic(pec_buffer, chiplet_bases,
-                            compact_bitmap=compact_bitmap, name="iommu.pec")
-        self.pec.tracer = tracer
+                            compact_bitmap=compact_bitmap, name="iommu.pec",
+                            tracer=tracer)
         self._pending: deque[AtsRequest] = deque()
         self._walking: dict[tuple[int, int], _WalkState] = {}
         self._free_ptws = config.num_ptws
@@ -87,15 +91,14 @@ class Iommu:
         #: Demand-paging hook: maps the faulting page(s) and returns the
         #: fault-service latency in cycles (None disables demand faults —
         #: an unmapped VPN is then a hard error).
-        self.fault_handler: Callable[[int, int], int] | None = None
+        self.fault_handler = fault_handler
         self._tlb: Tlb | None = None
         if config.tlb_entries:
             self._tlb = Tlb(TlbConfig(entries=config.tlb_entries,
                                       ways=min(16, config.tlb_entries),
                                       lookup_latency=config.tlb_latency,
-                                      mshrs=64), name="iommu.tlb")
-            self._tlb.tracer = tracer
-            self._tlb.trace_label = "iommu_tlb"
+                                      mshrs=64), name="iommu_tlb",
+                            tracer=tracer)
 
     # -- ingress -------------------------------------------------------------
 
@@ -106,7 +109,7 @@ class Iommu:
             self.pasid_counters[request.pasid]["ats_requests"] += 1
         if self._trace_on and not request.prefetch:
             self.tracer.phase(request.pasid, request.vpn, "iommu_receive")
-        if self.per_pasid_gaps:
+        if self.pasid_counters is not None:
             last = self._last_vpn_by_pasid.get(request.pasid)
             if last is not None:
                 self.vpn_gaps.add(abs(request.vpn - last))
@@ -351,9 +354,3 @@ class Iommu:
         if self._tlb is not None:
             self._tlb.invalidate_pasid(pasid)
         return flushed
-
-    # -- introspection ----------------------------------------------------------
-
-    def coalesced_fraction(self) -> float:
-        """Fraction of ATS responses produced by calculation (Fig 16b)."""
-        return self.stats.ratio("pec_coalesced", "ats_responses")

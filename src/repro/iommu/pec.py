@@ -24,14 +24,13 @@ class PecLogic:
     """Comparators + PFN calculator over a PEC buffer."""
 
     def __init__(self, pec_buffer: PecBuffer, chiplet_bases: tuple[int, ...],
-                 compact_bitmap: bool = False, name: str = "pec") -> None:
+                 compact_bitmap: bool = False, name: str = "pec", *,
+                 tracer=NULL_TRACER) -> None:
         self.pec_buffer = pec_buffer
         self.chiplet_bases = chiplet_bases
         self.compact_bitmap = compact_bitmap
-        #: Translation-path tracer (no-op unless the owner enables tracing;
-        #: assigned after construction, so the setter refreshes the cached
-        #: enabled flag).
-        self.tracer = NULL_TRACER
+        self.tracer = tracer
+        self._trace_on = tracer.enabled
         self.stats = StatSet(name)
         self._counters = self.stats.counters
         #: Descriptor of the last successful :meth:`calculate`, which
@@ -42,15 +41,6 @@ class PecLogic:
         #: oracle/invariant checker catches a miscalculating PEC datapath
         #: (it must stay 0 in real runs).
         self.inject_pfn_offset = 0
-
-    @property
-    def tracer(self):
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        self._tracer = tracer
-        self._trace_on = tracer.enabled
 
     def descriptor_for(self, pasid: int, vpn: int) -> DataDescriptor | None:
         return self.pec_buffer.lookup(pasid, vpn)

@@ -106,13 +106,6 @@ class DataDescriptor:
         return list(range(first, min(first + self.round_pages,
                                      self.end_vpn + 1), self.interlv_gran))
 
-    def coal_bitmap_for(self, vpn: int) -> int:
-        """The PTE coal_bitmap for ``vpn``'s group: participating chiplets."""
-        bitmap = 0
-        for member in self.group_vpns(vpn):
-            bitmap |= 1 << self.chiplet_of(member)
-        return bitmap
-
     def encoded_bits(self) -> int:
         """Storage cost of this entry (118 bits at the paper's 8-chiplet map).
 

@@ -107,11 +107,6 @@ class PteFields:
     def num_sharers(self) -> int:
         return bin(self.coal_bitmap).count("1")
 
-    def sharer_chiplets(self) -> tuple[int, ...]:
-        """Chiplet ids participating in the coalescing group, ascending."""
-        return tuple(i for i in range(MAX_CHIPLETS_STANDARD)
-                     if self.coal_bitmap >> i & 1)
-
 
 def encode_pte(fields: PteFields) -> int:
     """Pack :class:`PteFields` into a 64-bit integer PTE."""

@@ -47,19 +47,14 @@ class Tlb:
     its cuckoo filters (Section V-A2) without the TLB knowing about filters.
     """
 
-    def __init__(self, config: TlbConfig, name: str = "tlb") -> None:
+    def __init__(self, config: TlbConfig, name: str = "tlb", *,
+                 tracer: Any = NULL_TRACER) -> None:
         self.config = config
         self.stats = StatSet(name)
         # ``config.sets``/``config.ways`` are derived properties; resolve
         # them once — lookup() runs on every simulated memory access.
         self._num_sets = config.sets
-        # Set counts are powers of two in every shipped config; ``vpn & mask``
-        # equals ``vpn % num_sets`` for the nonnegative VPNs we index with.
-        self._set_mask = (self._num_sets - 1
-                          if self._num_sets & (self._num_sets - 1) == 0
-                          else None)
         self._ways = config.ways
-        self._bump = self.stats.bump
         # Live view of the counter bag: the hot paths increment it inline
         # (same Counter object the StatSet reports, so readouts stay exact).
         self._counters = self.stats.counters
@@ -67,56 +62,31 @@ class Tlb:
             OrderedDict() for _ in range(self._num_sets)]
         self.on_insert: Callable[[TlbEntry], None] | None = None
         self.on_evict: Callable[[TlbEntry], None] | None = None
-        #: Translation-path tracer (no-op by default); ``trace_label``
-        #: prefixes the hit/miss phase stamps ("l1", "l2", "iommu_tlb").
-        #: Both are assigned through setters that recompile the lookup
-        #: closure, so they may be reassigned any time before the run.
-        self._tracer = NULL_TRACER
-        self._trace_on = False
-        self.trace_label = name.split(".", 1)[0]
+        # The tracer is a no-op by default; the prefix of the name labels
+        # the hit/miss phase stamps ("l1", "l2", "iommu_tlb").
+        self.lookup = self._compile_lookup(tracer, name.split(".", 1)[0])
 
-    @property
-    def tracer(self) -> Any:
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer: Any) -> None:
-        self._tracer = tracer
-        self._trace_on = tracer.enabled
-        self._rebuild_lookup()
-
-    @property
-    def trace_label(self) -> str:
-        return self._trace_label
-
-    @trace_label.setter
-    def trace_label(self, label: str) -> None:
-        self._trace_label = label
-        self._phase_hit = label + "_hit"
-        self._phase_miss = label + "_miss"
-        self._rebuild_lookup()
-
-    def _rebuild_lookup(self) -> None:
+    def _compile_lookup(self, tracer: Any, label: str):
         """Compile ``lookup`` as a per-instance closure.
 
         The lookup runs on every simulated memory access; binding the set
         list, counter bag, and tracer state as closure cells removes every
-        ``self`` attribute load from the hit path.  Rebuilt whenever the
-        tracer or trace label changes (both happen only during wiring).
-        The untraced variants drop the trace branches outright and index
-        sets with a mask; the single-set (fully-associative) variant also
-        prebinds the set dict and its LRU splice.  All variants perform
-        the identical probes and counter updates, so stats and traces are
-        bit-identical across them.
+        ``self`` attribute load from the hit path.  The untraced variants
+        drop the trace branches outright and index sets with a mask; the
+        single-set (fully-associative) variant also prebinds the set dict
+        and its LRU splice.  All variants perform the identical probes and
+        counter updates, so stats and traces are bit-identical across them.
         """
         sets = self._sets
         num_sets = self._num_sets
-        set_mask = self._set_mask
+        # Set counts are powers of two in every shipped config; ``vpn & mask``
+        # equals ``vpn % num_sets`` for the nonnegative VPNs we index with.
+        set_mask = (num_sets - 1 if num_sets & (num_sets - 1) == 0
+                    else None)
         counters = self._counters
-        trace_on = self._trace_on
-        tracer = self._tracer
-        phase_hit = self._phase_hit
-        phase_miss = self._phase_miss
+        trace_on = tracer.enabled
+        phase_hit = label + "_hit"
+        phase_miss = label + "_miss"
 
         if not trace_on and num_sets == 1:
             entries = sets[0]
@@ -171,7 +141,7 @@ class Tlb:
                     tracer.phase(pasid, vpn, phase_hit)
                 return entry
 
-        self.lookup = lookup
+        return lookup
 
     def _set_for(self, vpn: int) -> OrderedDict[tuple[int, int], TlbEntry]:
         return self._sets[vpn % self._num_sets]
@@ -270,7 +240,6 @@ class MshrFile:
     def __init__(self, capacity: int, name: str = "mshr") -> None:
         self.capacity = capacity
         self.stats = StatSet(name)
-        self._bump = self.stats.bump
         # Live view of the counter bag: the hot paths increment it inline
         # (same Counter object the StatSet reports, so readouts stay exact).
         self._counters = self.stats.counters

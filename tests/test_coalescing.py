@@ -68,7 +68,6 @@ class TestGroupMembership:
         d = DataDescriptor(data_id=3, pasid=0, start_vpn=0xB1, end_vpn=0xB3,
                            interlv_gran=1, gpu_map=(0, 1, 2, 3))
         assert d.group_vpns(0xB1) == [0xB1, 0xB2, 0xB3]
-        assert d.coal_bitmap_for(0xB1) == 0b0111
 
     def test_multi_round_groups_stay_within_round(self):
         # 24 pages, gran 3, 4 chiplets: two rounds of 12.

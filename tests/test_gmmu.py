@@ -63,15 +63,6 @@ def test_remote_walk_adds_mesh_round_trip():
     assert mesh.packets_sent == 2  # PTE fetch there and back
 
 
-def test_remote_walk_fraction():
-    queue, driver, gmmu, _responses, _mesh = make_gmmu()
-    rec = driver.malloc(AllocationRequest(data_id=1, pages=8))
-    for vpn in range(rec.start_vpn, rec.end_vpn + 1):
-        gmmu.receive(req(vpn))
-    queue.run()
-    assert 0 < gmmu.remote_walk_fraction() < 1
-
-
 def test_barre_gmmu_coalesces():
     queue, driver, gmmu, responses, _mesh = make_gmmu(barre=True)
     rec = driver.malloc(AllocationRequest(data_id=1, pages=4, row_pages=1))

@@ -1,7 +1,7 @@
 """Golden-run regression net: a cycle-for-cycle behavioral freeze.
 
 Every point in :data:`POINTS` is simulated with tracing on and reduced to
-three artifacts that together pin the simulator's observable behavior:
+the artifacts that together pin the simulator's observable behavior:
 
 * the **full serialized stats payload** (every ``SimResult`` field the
   disk cache persists, including the VPN-gap and latency histograms);
@@ -10,7 +10,10 @@ three artifacts that together pin the simulator's observable behavior:
   translation request;
 * the **SHA256 of the cache payload** (``json.dumps`` of the serialized
   stats) — what :mod:`repro.experiments.runner` writes to disk, so cached
-  results stay loadable and byte-identical across refactors.
+  results stay loadable and byte-identical across refactors;
+* for multi-tenant scenario points, ``SimResult.extra`` as well
+  (teardowns, dead PASIDs, per-PASID counters), which the cache payload
+  leaves out.
 
 The goldens under ``tests/golden/`` were captured before the hot-path
 optimization work and must survive it unchanged: any drift — a different
@@ -37,6 +40,7 @@ from repro.experiments import configs
 from repro.experiments.runner import _serialize
 from repro.common.trace import write_spans_jsonl
 from repro.gpu.mcm import McmGpuSimulator
+from repro.scenarios import NAMED_SCENARIOS, ScenarioWorkload, named_scenario
 from repro.workloads.suite import get_workload
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -44,6 +48,10 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 #: Small but path-diverse: every translation backend, the IOMMU TLB, and
 #: migration each exercise a different set of inner loops.
 SCALE = 0.05
+#: Scenario points replay their pinned timeline at full trace scale, as
+#: ``repro validate --scenario`` does: smaller traces drain before the
+#: mid-run teardown has walks in flight to kill.
+SCENARIO_SCALE = 1.0
 
 POINTS: dict[str, tuple] = {
     "baseline-gemv": (configs.baseline, (), "gemv"),
@@ -63,21 +71,38 @@ POINTS: dict[str, tuple] = {
         lambda: configs.fbarre(oracle_sharing=True), (), "gemv"),
     # 16 chiplets: every filter update fans out to 15 RCF replicas.
     "fbarre-16c-gemv": (lambda: configs.fbarre(num_chiplets=16), (), "gemv"),
+    # Demand paging: the IOMMU's and the GMMUs' fault handlers.
+    "fbarre-ondemand-gemv": (lambda: configs.fbarre(demand_paging=True),
+                             (), "gemv"),
+    "mgvm-ondemand-gemv": (lambda: configs.mgvm(demand_paging=True),
+                           (), "gemv"),
+    # Multi-tenant churn: the dead-PASID guards, per-PASID counters and
+    # per-PASID gap histograms of the IOMMU and of the GMMUs.
+    "fbarre-churn-min": (configs.fbarre, (), "churn-min"),
+    "mgvm-churn-min": (configs.mgvm, (), "churn-min"),
 }
+
+
+def _workload(app: str):
+    """A Table I app by abbreviation, or a pinned named scenario."""
+    if app in NAMED_SCENARIOS:
+        return ScenarioWorkload.from_scenario(named_scenario(app))
+    return get_workload(app)
 
 
 def _digest(name: str, tmp_dir: Path) -> dict:
     """Run one golden point and reduce it to its frozen artifacts."""
     factory, args, app = POINTS[name]
-    sim = McmGpuSimulator(factory(*args), [get_workload(app)],
-                          trace_scale=SCALE, trace=True)
+    scale = SCENARIO_SCALE if app in NAMED_SCENARIOS else SCALE
+    sim = McmGpuSimulator(factory(*args), [_workload(app)],
+                          trace_scale=scale, trace=True)
     result = sim.run()
     cache_payload = json.dumps(_serialize(result))
     jsonl_path = write_spans_jsonl(sim.tracer.spans, tmp_dir / f"{name}.jsonl")
-    return {
+    digest = {
         "point": name,
         "app": app,
-        "scale": SCALE,
+        "scale": scale,
         # Round-trip through JSON so regen and check compare like with like.
         "stats": json.loads(cache_payload),
         "spans": len(sim.tracer.spans),
@@ -86,6 +111,11 @@ def _digest(name: str, tmp_dir: Path) -> dict:
         "cache_payload_sha256": hashlib.sha256(
             cache_payload.encode()).hexdigest(),
     }
+    if result.extra:
+        # Scenario bookkeeping (teardowns, dead PASIDs, per-PASID
+        # counters) is not in the cache payload, so it is pinned here.
+        digest["extra"] = json.loads(json.dumps(result.extra))
+    return digest
 
 
 def _flatten(value, prefix: str = "") -> dict[str, object]:
@@ -128,6 +158,10 @@ def test_golden_run(name: str, tmp_path: Path) -> None:
         f"behavioral drift in {name}: first divergent stat -> {divergence}\n"
         f"(if this change is intentional, regenerate the goldens AND bump "
         f"SIM_VERSION in src/repro/experiments/runner.py)")
+    extra, golden_extra = actual.get("extra", {}), golden.get("extra", {})
+    assert extra == golden_extra, (
+        f"{name}: scenario extras drifted; first divergence -> "
+        f"{_first_divergence(golden_extra, extra)}")
     assert actual["spans"] == golden["spans"], (
         f"{name}: span count drifted {golden['spans']} -> {actual['spans']}")
     assert actual["trace_jsonl_sha256"] == golden["trace_jsonl_sha256"], (

@@ -21,7 +21,6 @@ def test_standard_roundtrip_example2():
     assert decode_pte(encode_pte(fields)) == fields
     assert fields.is_coalesced
     assert fields.num_sharers == 3
-    assert fields.sharer_chiplets() == (0, 1, 2)
 
 
 def test_uncoalesced_page_has_zero_bitmap():

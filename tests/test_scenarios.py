@@ -236,7 +236,7 @@ def test_scenario_payload_identical_across_schedulers(
     cache = tmp_path / f"jobs{jobs}"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
     workload = scenario_workload("churn-min")
     points = [SweepPoint(configs.barre(seed=0), workload, scale=1.0),
               SweepPoint(configs.fbarre(seed=0), workload, scale=1.0)]

@@ -23,13 +23,6 @@ class TestStatSet:
         assert s.samples("lat") == 3
         assert s.mean("none") == 0.0
 
-    def test_ratio(self):
-        s = StatSet("x")
-        s.bump("a", 3)
-        s.bump("b", 6)
-        assert s.ratio("a", "b") == 0.5
-        assert s.ratio("a", "zero") == 0.0
-
     def test_as_dict(self):
         s = StatSet("x")
         s.bump("c")
@@ -62,7 +55,6 @@ class TestHistogram:
         for v in (1, 1, 2, 5):
             h.add(v)
         assert h.total() == 4
-        assert h.fraction_at(1) == 0.5
         assert h.fraction_in([1, 2]) == 0.75
         assert h.fraction_in([99]) == 0.0
 
@@ -76,7 +68,6 @@ class TestHistogram:
     def test_empty(self):
         h = Histogram()
         assert h.total() == 0
-        assert h.fraction_at(1) == 0.0
         assert h.quantile(0.5) == 0
 
 

@@ -76,4 +76,4 @@ def test_translation_latency_observed():
     stream, _ = make_stream(q, accesses(4), translate_latency=33)
     stream.start()
     q.run()
-    assert stream.stats.mean("translation_latency") == 33
+    assert stream.latency_hist.mean() == 33

@@ -141,7 +141,7 @@ class TestPairPoints:
         pool, files the bytes ``run_pair`` files, under the same name,
         with a key manifest that records its pair tag."""
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         cfg = configs.baseline()
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "direct"))
         run_pair(cfg, "gemv", "fft", SCALE)
@@ -325,7 +325,7 @@ class TestSchedulerDeterminism:
         """Inline (``jobs=1``) and the worker pool (``jobs=2``) produce the
         same payloads and byte-identical cache files."""
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         payloads, files = {}, {}
         for jobs in (1, 2):
             cache = tmp_path / f"jobs{jobs}"
@@ -345,7 +345,7 @@ class TestSchedulerDeterminism:
         """Cache files written through the worker pool are byte-for-byte the
         golden payloads — the sweep engine cannot perturb a simulation."""
         from tests.test_golden_runs import GOLDEN_DIR, POINTS
-        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         names = ["baseline-gemv", "fbarre-gemv", "fbarre-fft", "mgvm-gemv"]
         points = [SweepPoint(POINTS[name][0](), POINTS[name][2], SCALE)
                   for name in names]
@@ -389,10 +389,9 @@ class TestSweepStats:
         assert "trace-memo" in out.stats.describe()
 
     def test_pool_width_clamps_to_cores(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OVERSUBSCRIBE", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         assert _pool_width(jobs=8, misses=8) == 2
-        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
         assert _pool_width(jobs=8, misses=8) == 8
         assert _pool_width(jobs=8, misses=3) == 3
 
@@ -407,7 +406,7 @@ class TestSweepStats:
     def test_steals_is_an_int_for_every_scheduler(self, tmp_path,
                                                   monkeypatch):
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         for jobs in (1, 2):
             monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"j{jobs}"))
             out = sweep(_scheme_points(), jobs=jobs, progress=False)
@@ -425,7 +424,7 @@ class TestPool:
 
         # Workers fork from this process, so the patch rides along.
         monkeypatch.setattr(runner_mod, "fill", boom)
-        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         with pytest.raises(RuntimeError, match="sweep worker failed") as err:
             sweep(_scheme_points(), jobs=2, progress=False)
         assert "Traceback (most recent call last)" in str(err.value)
@@ -445,7 +444,7 @@ class TestPool:
 
         # Workers fork with the patch, but their appends stay in the child.
         monkeypatch.setattr(runner_mod, "load_cached", counting)
-        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         out = sweep(_scheme_points(), jobs=2, progress=False)
         assert out.stats.jobs == 2
         # One miss probe per point while deduplicating, then one read-back
@@ -459,7 +458,7 @@ class TestPool:
         group's traces again."""
         from repro.gpu import mcm
         mcm.TRACE_MEMO.clear()   # workers fork with the parent's memo
-        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         points = _scheme_points()
         finished = []
         out = sweep(points, jobs=2, progress=False, events=finished.append)
@@ -492,7 +491,7 @@ class TestPool:
             time.sleep(60)
             return real_run(sim_self)
 
-        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         monkeypatch.setattr(sweep_mod, "_JOIN_GRACE_S", 0.5)
         monkeypatch.setattr(McmGpuSimulator, "run", fail_or_sleep)
         survivor = SweepPoint(configs.baseline(), "gemv", SCALE)
@@ -554,7 +553,7 @@ class TestCostModel:
         assert 0 < entry["seconds"] <= out.stats.point_seconds[point.key()]
 
     def test_pool_fill_records_seconds(self, cache, monkeypatch):
-        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         points = [SweepPoint(configs.baseline(), app, SCALE)
                   for app in ("gemv", "fft")]
         out = sweep(points, jobs=2, progress=False)
@@ -623,7 +622,7 @@ class TestTornCacheFile:
     @pytest.mark.parametrize("cut", ["empty", "half"])
     def test_torn_file_is_moved_aside_and_refilled(self, cache, monkeypatch,
                                                    cut, jobs):
-        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         torn = SweepPoint(configs.baseline(), "gemv", SCALE)
         path = runner_mod.key_path("gemv", torn.key())
         sweep([torn], jobs=1, progress=False)
@@ -769,7 +768,7 @@ class TestConcurrentSameKeyFill:
         # The racing sweeps fork from this process, so the patch (and the
         # log path) ride into every worker they spawn.
         monkeypatch.setattr(McmGpuSimulator, "run", counting_run)
-        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         private = ["fft", "spmv"] if jobs > 1 else [None, None]
         ctx = multiprocessing.get_context("fork")
         outs = [tmp_path / f"result-{i}.json" for i in range(2)]
@@ -857,7 +856,7 @@ class TestCrashHeal:
             return real_run(sim_self)
 
         # Workers fork from this process, so the patch rides along.
-        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         monkeypatch.setattr(McmGpuSimulator, "run", die_on_gemv)
         points = [SweepPoint(configs.baseline(), app, SCALE)
                   for app in ("gemv", "fft")]
@@ -904,11 +903,13 @@ class TestDocsMatchCode:
         for knob in sorted(knobs):
             assert knob in source, (
                 f"docs/performance.md documents {knob} but no code reads it")
-        # And the reverse: every knob src/ reads has a knob-table row.
+        # And the table lists exactly the knobs src/ reads from the
+        # environment: no row for a knob nothing reads, none missing.
         table = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", doc, re.M))
         read = set(re.findall(
             r"os\.environ(?:\.get\(|\[)\s*[\"'](REPRO_[A-Z_]+)", source))
         assert {"REPRO_JOBS", "REPRO_CACHE_DIR"} <= read
-        assert read <= table, (
-            f"src/ reads {sorted(read - table)} but the docs/performance.md "
-            f"knob table does not list them")
+        assert read == table, (
+            f"src/ reads {sorted(read - table)} without a knob-table row; "
+            f"the docs/performance.md table lists {sorted(table - read)} "
+            f"that src/ never reads")

@@ -10,6 +10,7 @@ from repro.common import (
     TlbConfig,
 )
 from repro.core import AtsHandler, CoalescingAgent, FBarreHandler, LeastHandler
+from repro.core.translation import MAX_PREFETCHES
 from repro.iommu import Iommu, PecLogic
 from repro.mapping import (
     AllocationRequest,
@@ -96,9 +97,8 @@ def test_prefetch_throttle_limits_outstanding():
     rec = rig.alloc(32, row_pages=16)
     for i in range(8):
         rig.handlers[0].resolve(0, rec.start_vpn + i, lambda e: None)
-    # Only max_prefetches slots may be used before any response returns.
-    assert rig.handlers[0].stats.count("prefetches") <= \
-        rig.handlers[0].max_prefetches
+    # Only MAX_PREFETCHES slots may be used before any response returns.
+    assert rig.handlers[0].stats.count("prefetches") <= MAX_PREFETCHES
     assert rig.handlers[0].stats.count("prefetch_throttled") > 0
     rig.queue.run()
 
