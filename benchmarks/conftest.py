@@ -1,39 +1,11 @@
-"""Shared helpers for the per-figure benchmark harness.
+"""Benchmark-harness set-up.
 
-Each ``bench_figNN_*.py`` regenerates one paper table/figure: it runs the
-experiment once (``benchmark.pedantic(rounds=1)``), prints the series the
-paper plots, writes the same text under ``results/``, and asserts the
-paper's qualitative shape (who wins, roughly by how much).
-
-Before the timed ``rounds=1`` run, the figure's full simulation point-set
-is collected (a cheap stub pass) and filled in parallel over the sweep
-engine's worker pool — so pytest-benchmark times the experiment, not a
-serial queue of cold simulations.  Worker count comes from ``REPRO_JOBS``
-(default: all cores).
-
-Tune runtime with ``REPRO_BENCH_SCALE`` (default 0.4; larger = slower but
-less noisy) and clear ``.bench_cache`` to force re-simulation.
+The figures' paper-shape checks live in ``src/`` next to their
+experiments; registering the modules for assertion rewriting keeps
+pytest's operand report when one of them fails under the figure bench.
 """
 
-from __future__ import annotations
+import pytest
 
-from pathlib import Path
-
-from repro.experiments.sweep import prewarm
-
-RESULTS_DIR = Path(__file__).resolve().parents[1] / "results"
-
-
-def save_and_print(name: str, text: str) -> None:
-    """Print a figure's series and persist it under results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    print()
-    print(text)
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Warm the figure's points in parallel, then time one real run."""
-    prewarm(fn, *args, **kwargs)
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1)
+pytest.register_assert_rewrite("repro.experiments.figures",
+                               "repro.experiments.ablations")

@@ -23,11 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments import (
-    configs,
-    format_bar_chart,
-    format_series_table,
-)
+from repro.experiments import configs, format_series_table
 from repro.experiments.registry import FIGURES, figure_points, run_figure
 from repro.experiments.runner import run_point, speedups, suite_results
 from repro.experiments.configs import SCHEMES
@@ -230,18 +226,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     out = run_figure(args.name, scale=args.scale, jobs=args.jobs)
-    if "series" in out and "apps" in out:
-        print(format_series_table(args.name, out["apps"], out["series"],
-                                  mean_row=False))
-    scalars = {k: v for k, v in out.items()
-               if isinstance(v, (int, float))}
-    for key, value in scalars.items():
-        print(f"{key} = {value:.4f}" if isinstance(value, float)
-              else f"{key} = {value}")
-    for key in ("means", "pairs", "row_sweep"):
-        if key in out:
-            print(format_bar_chart(f"{key} (| marks 1.0x)", out[key],
-                                   reference=1.0))
+    print(FIGURES[args.name].render(out))
     return 0
 
 

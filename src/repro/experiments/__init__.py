@@ -24,7 +24,6 @@ from repro.experiments.sweep import (
     SweepStats,
     collect_points,
     default_jobs,
-    prewarm,
     sweep,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "format_kv_block",
     "format_phase_breakdown",
     "format_series_table",
-    "prewarm",
     "run_figure",
     "run_pair",
     "run_point",

@@ -18,12 +18,19 @@ import dataclasses
 
 from repro.common.stats import geomean
 from repro.experiments import configs
+from repro.experiments.report import series_text
 from repro.experiments.runner import speedups, suite_results
 from repro.experiments.figures import SUBSET6
 
 
 def pw_queue_depth(apps=None, scale=None, depths=(12, 24, 48, 96)):
-    """Sweep the PW-queue depth under Barre (the PEC scan window)."""
+    """Sweep the PW-queue depth under Barre (the PEC scan window).
+
+    Table II fixes 48 entries.  The PW-queue is double duty in Barre: it
+    buffers walks *and* is the window the PEC logic scans for coalescible
+    pending requests — deeper queues give one finished walk more siblings
+    to answer.
+    """
     apps = SUBSET6 if apps is None else list(apps)
     reference = None
     series = {}
@@ -39,11 +46,25 @@ def pw_queue_depth(apps=None, scale=None, depths=(12, 24, 48, 96)):
     return {"apps": apps, "series": series, "means": means}
 
 
+render_pw_queue = series_text(
+    "Ablation: Barre speedup vs a 12-entry PW-queue")
+
+
+def check_pw_queue(out):
+    means = out["means"]
+    # Deeper queues never hurt the mean materially.
+    assert means["queue 48"] >= means["queue 12"] * 0.97
+    assert means["queue 96"] >= means["queue 48"] * 0.95
+
+
 def pec_buffer_capacity(apps=None, scale=None, capacities=(1, 2, 5, 8)):
     """Sweep the PEC buffer entry count under F-Barre.
 
     With one entry, multi-data apps thrash descriptors and lose most
-    coalescing; the paper's five entries cover every Table I app.
+    coalescing; the paper's five entries cover every Table I app.  Table
+    II fixes 5 x 118-bit entries because "all of our benchmark
+    applications use up to five large data" (Section IV-E); this ablation
+    shows what starving the buffer costs.
     """
     apps = SUBSET6 if apps is None else list(apps)
     base = suite_results(configs.baseline(), apps, scale)
@@ -60,12 +81,24 @@ def pec_buffer_capacity(apps=None, scale=None, capacities=(1, 2, 5, 8)):
             "coalesced": coalesced}
 
 
+render_pec_buffer = series_text(
+    "Ablation: F-Barre speedup over baseline by PEC buffer capacity")
+
+
+def check_pec_buffer(out):
+    means = out["means"]
+    # Five entries (the paper's choice) capture ~all of the benefit.
+    assert means["5 entries"] >= means["1 entries"]
+    assert means["8 entries"] <= means["5 entries"] * 1.1
+
+
 def stream_window(apps=None, scale=None, windows=(4, 16, 64)):
     """Sweep per-stream memory-level parallelism (substrate sensitivity).
 
     Not a paper experiment: it quantifies how much of F-Barre's advantage
     depends on the compute model's latency-hiding assumption, which
-    EXPERIMENTS.md uses to bound the fidelity gap.
+    EXPERIMENTS.md uses to bound the fidelity gap: with little MLP
+    translation latency is fully exposed; with deep windows it overlaps.
     """
     apps = SUBSET6 if apps is None else list(apps)
     series = {}
@@ -76,3 +109,13 @@ def stream_window(apps=None, scale=None, windows=(4, 16, 64)):
         series[f"window {window}"] = speedups(fb, base)
     means = {k: geomean(list(v.values())) for k, v in series.items()}
     return {"apps": apps, "series": series, "means": means}
+
+
+render_stream_window = series_text(
+    "Ablation: F-Barre speedup over baseline by stream window")
+
+
+def check_stream_window(out):
+    means = out["means"]
+    # F-Barre wins at every latency-hiding level.
+    assert all(v > 1.0 for v in means.values())

@@ -1,8 +1,8 @@
-"""Plain-text rendering of experiment series (the benches' printed rows)."""
+"""Plain-text rendering of experiment series (the figures' printed rows)."""
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.common.stats import geomean
 
@@ -38,6 +38,20 @@ def format_series_table(title: str, apps: Sequence[str],
             row += f"{cell:>{col}}"
         lines.append(row)
     return "\n".join(lines)
+
+
+def series_text(heading: str,
+                mean_row: bool = True) -> Callable[[Mapping], str]:
+    """A figure's render: its series table, then its ``means:`` line if
+    the figure returns ``means``."""
+    def render(out: Mapping) -> str:
+        text = format_series_table(heading, out["apps"], out["series"],
+                                   mean_row=mean_row)
+        if "means" in out:
+            text += "\nmeans: " + ", ".join(
+                f"{k}={v:.3f}" for k, v in out["means"].items())
+        return text
+    return render
 
 
 def format_bar_chart(title: str, values: Mapping[str, float],

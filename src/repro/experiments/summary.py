@@ -1,42 +1,16 @@
 """Collect per-figure bench outputs into one summary report.
 
-The benchmark harness writes each figure's series under ``results/``; this
-module stitches them into ``results/SUMMARY.md`` in the paper's figure
-order, so a full reproduction run leaves a single reviewable artifact.
+The figure bench writes each figure's text to ``results/<name>.txt``; this
+module stitches them into ``results/SUMMARY.md`` in ``FIGURES`` order (the
+paper's), under each figure's title, so a full reproduction run leaves a
+single reviewable artifact.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-#: Paper presentation order (with our extension material at the end).
-REPORT_ORDER = [
-    ("table1", "Table I — L2 TLB MPKI per application"),
-    ("fig01", "Fig 1 — speedup with more PTWs"),
-    ("fig02", "Fig 2 — 2 MB super pages under migration"),
-    ("fig04", "Fig 4 — L2 TLB MSHR sensitivity"),
-    ("fig05", "Fig 5 — VPN-gap distribution at the IOMMU"),
-    ("fig06", "Fig 6 — ideal shared L2 TLB"),
-    ("fig15", "Fig 15 — overall performance comparison"),
-    ("fig16", "Fig 16 — ATS traffic and response time"),
-    ("fig17", "Fig 17 — cuckoo filter accuracy and sizing"),
-    ("fig18", "Fig 18 — F-Barre speedup breakdown"),
-    ("fig19", "Fig 19 — coalescing-information sharing overhead"),
-    ("fig20", "Fig 20 — chiplet-count scaling"),
-    ("fig21", "Fig 21 — GMMU (MGvm) integration"),
-    ("fig22", "Fig 22 — migration (ACUD) integration"),
-    ("fig23", "Fig 23 — PTW-count sensitivity"),
-    ("fig24", "Fig 24 — page-size sensitivity"),
-    ("fig25", "Fig 25 — Barre Chord vs super pages"),
-    ("fig26", "Fig 26 — other page-mapping policies"),
-    ("fig27a", "Fig 27a — multi-application"),
-    ("fig27b", "Fig 27b — combined with an IOMMU TLB"),
-    ("overhead_area", "Section VII-K — hardware overhead"),
-    ("ext_ondemand", "Extension — on-demand paging (Section VI)"),
-    ("ablation_pw_queue", "Ablation — PW-queue depth"),
-    ("ablation_pec_buffer", "Ablation — PEC buffer capacity"),
-    ("ablation_stream_window", "Ablation — stream MLP window"),
-]
+from repro.experiments.registry import FIGURES
 
 
 def build_summary(results_dir: str | Path) -> str:
@@ -48,12 +22,12 @@ def build_summary(results_dir: str | Path) -> str:
                 "`results/`.  See EXPERIMENTS.md for paper-vs-measured "
                 "commentary.", ""]
     missing = []
-    for name, title in REPORT_ORDER:
+    for name, fig in FIGURES.items():
         path = root / f"{name}.txt"
         if not path.exists():
             missing.append(name)
             continue
-        sections.append(f"## {title}")
+        sections.append(f"## {fig.title}")
         sections.append("")
         sections.append("```")
         sections.append(path.read_text().rstrip())
@@ -61,7 +35,8 @@ def build_summary(results_dir: str | Path) -> str:
         sections.append("")
     if missing:
         sections.append(f"*Not yet generated: {', '.join(missing)} — run "
-                        f"`pytest benchmarks/ --benchmark-only`.*")
+                        f"`pytest benchmarks/bench_figures.py "
+                        f"--benchmark-only`.*")
     return "\n".join(sections)
 
 

@@ -492,15 +492,3 @@ def collect_points(fn, *args, **kwargs) -> list[SweepPoint]:
     with runner.collecting() as sink:
         fn(*args, **kwargs)
     return sink
-
-
-def prewarm(fn, *args, jobs: int | None = None,
-            progress: bool | None = None, **kwargs) -> SweepOutcome:
-    """Fill the cache for everything ``fn(*args, **kwargs)`` will simulate.
-
-    After this returns, calling ``fn`` for real is pure cache hits — used
-    by the benchmark harness so the timed run measures simulation shape,
-    not queueing.
-    """
-    return sweep(collect_points(fn, *args, **kwargs),
-                 jobs=jobs, progress=progress)

@@ -24,6 +24,8 @@ def test_figure_command_area(capsys):
     assert main(["figure", "area"]) == 0
     out = capsys.readouterr().out
     assert "overhead_vs_l2" in out
+    area = FIGURES["area"]
+    assert out == area.render(area.run()) + "\n"
 
 
 def test_trace_command(capsys, monkeypatch, tmp_path):

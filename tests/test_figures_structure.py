@@ -1,6 +1,10 @@
 """Structural tests of the figure registry (no simulations)."""
 
+import pytest
+
+from repro.experiments import runner
 from repro.experiments.figures import MULTIAPP_PAIRS, SUBSET6, overhead_area
+from repro.experiments.registry import FIGURES
 from repro.workloads import APP_ORDER, CATEGORY_OF
 
 
@@ -30,3 +34,15 @@ def test_overhead_area_reproduces_paper_constants():
     assert abs(out["filters_plus_pec_kib"] - 4.57) < 0.05
     assert abs(out["overhead_vs_l2"] - 0.0421) < 0.003
     assert out["pec_buffer_bits"] == 590
+
+
+@pytest.mark.parametrize("name", list(FIGURES))
+def test_render_reads_only_what_run_returns(name):
+    """Each render prints its figure's stub results (a collection pass),
+    so a render reading a key its run no longer returns fails here."""
+    fig = FIGURES[name]
+    before = runner.SIMULATIONS
+    with runner.collecting():
+        out = fig.run()
+    assert fig.render(out)
+    assert runner.SIMULATIONS == before

@@ -1,6 +1,7 @@
 """Summary-report generator tests."""
 
-from repro.experiments.summary import REPORT_ORDER, build_summary, write_summary
+from repro.experiments.registry import FIGURES
+from repro.experiments.summary import build_summary, write_summary
 
 
 def test_build_summary_includes_existing_sections(tmp_path):
@@ -25,14 +26,12 @@ def test_write_summary_creates_file(tmp_path):
     assert "Fig 1" in path.read_text()
 
 
-def test_report_order_covers_all_bench_outputs():
-    names = {name for name, _title in REPORT_ORDER}
-    # Every bench writes one of these names (see benchmarks/).
-    expected = {"table1", "overhead_area", "ext_ondemand",
-                "ablation_pw_queue", "ablation_pec_buffer",
-                "ablation_stream_window"}
-    expected |= {f"fig{n:02d}" for n in
-                 (1, 2, 4, 5, 6, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24,
-                  25, 26)}
-    expected |= {"fig27a", "fig27b"}
-    assert names == expected
+def test_summary_lists_exactly_the_registered_figures(tmp_path):
+    assert all(fig.title for fig in FIGURES.values())
+    missing = f"*Not yet generated: {', '.join(FIGURES)} — run"
+    assert missing in build_summary(tmp_path)
+    for name in FIGURES:
+        (tmp_path / f"{name}.txt").write_text(f"{name} body\n")
+    headings = [line[3:] for line in build_summary(tmp_path).splitlines()
+                if line.startswith("## ")]
+    assert headings == [fig.title for fig in FIGURES.values()]
