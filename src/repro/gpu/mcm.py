@@ -300,9 +300,11 @@ class McmGpuSimulator:
         #: traced run's SimResult is bit-identical to an untraced one.
         self.tracer = RecordingTracer(self.queue) if trace else NULL_TRACER
         self.page_scale = config.page_size // PAGE_SIZE_4K
-        #: Optional per-access observer ``(chiplet, stream, pasid, vpn, pfn)``
-        #: called with every delivered translation (differential harness).
-        self.pfn_observer = None
+        #: The data-access closures read the per-access observer (see
+        #: :attr:`pfn_observer`) from this one slot, not through ``self``.
+        self._observer_slot: list = [None]
+        #: Set by :meth:`run`: a simulator runs once.
+        self._spent = False
         self._build()
         #: Runtime invariant checker (debug mode, off by default): wraps the
         #: structural state — TLBs, MSHRs, filters, PEC logic, the driver —
@@ -313,6 +315,17 @@ class McmGpuSimulator:
             from repro.validation.invariants import InvariantChecker
             self.invariant_checker = InvariantChecker(self)
             self.invariant_checker.install()
+
+    @property
+    def pfn_observer(self):
+        """Optional per-access observer ``(chiplet, stream, pasid, vpn,
+        pfn)`` called with every delivered translation (differential
+        harness).  May be attached any time before :meth:`run`."""
+        return self._observer_slot[0]
+
+    @pfn_observer.setter
+    def pfn_observer(self, observer) -> None:
+        self._observer_slot[0] = observer
 
     # -- construction -------------------------------------------------------
 
@@ -462,27 +475,26 @@ class McmGpuSimulator:
                 self.queue, cid, gmmu_cfg, self.spaces,
                 self.driver.pec_buffer, self.memory_map.chiplet_bases,
                 respond=lambda resp: None,  # replaced by GmmuHandler
-                pt_owner=self._pt_owner, mesh=self.mesh,
+                # Distributed page table: PTEs live with the page's owner.
+                pt_owner=self.driver.chiplet_of, mesh=self.mesh,
                 **self._walker_kwargs())
             self.gmmus.append(gmmu)
             handler = GmmuHandler(gmmu, cid, dead_pasids=self.dead_pasids)
             self._gmmu_handlers.append(handler)
             return handler
         assert self.iommu is not None
+        spaces = self.spaces
+
+        def is_mapped(pasid: int, vpn: int) -> bool:
+            return pasid in spaces and spaces.get(pasid).is_mapped(vpn)
+
         handler = AtsHandler(
             self.queue, cid, self.pcie.up, self.iommu.receive,
             prefetch_next=cfg.backend is BackendKind.VALKYRIE,
-            is_mapped=self._is_mapped, dead_pasids=self.dead_pasids,
+            is_mapped=is_mapped, dead_pasids=self.dead_pasids,
             tracer=self.tracer)
         self._ats_handlers[cid] = handler
         return handler
-
-    def _pt_owner(self, pasid: int, vpn: int) -> int:
-        """Distributed page table: PTEs live with the page's owner chiplet."""
-        return self.driver.chiplet_of(pasid, vpn)
-
-    def _is_mapped(self, pasid: int, vpn: int) -> bool:
-        return pasid in self.spaces and self.spaces.get(pasid).is_mapped(vpn)
 
     def _bind_ats_route(self) -> None:
         """Resolve the IOMMU's response route once: the PCIe downlink's
@@ -503,7 +515,6 @@ class McmGpuSimulator:
 
     def _build_streams(self) -> None:
         self.streams: list[AccessStream] = []
-        self._remaining = 0
         if self.scenario is None:   # else built per tenant, at its arrival
             self._add_streams(self.workloads)
 
@@ -530,38 +541,36 @@ class McmGpuSimulator:
                         self.queue, sid, accesses, cfg.stream_window,
                         translate=chiplet.translate,
                         access_data=self._make_data_access(cid),
-                        on_drained=self._stream_drained,
                         chiplet_id=cid, tracer=self.tracer))
         self.streams.extend(streams)
-        self._remaining += len(streams)
         return streams
 
     def _make_data_access(self, cid: int):
         # verify_translations and the migration engine are fixed before the
         # streams are built; only pfn_observer may be attached later, so it
-        # alone is re-read per access.
-        verify = self.verify_translations
+        # alone is re-read per access, from its slot.  The closure holds
+        # no reference to the simulator, so a stream never cycles back.
+        spaces = self.spaces if self.verify_translations else None
+        observer_slot = self._observer_slot
         migration = self.migration
         fabric_access = self.fabric.access
         owner_of = self.fabric.owner_of
 
         def access(stream_id: int, pasid: int, vpn: int, pfn: int,
                    done) -> None:
-            if verify:
-                expected = self.spaces.get(pasid).walk(vpn).global_pfn
+            if spaces is not None:
+                expected = spaces.get(pasid).walk(vpn).global_pfn
                 if pfn != expected:
                     raise SimulationError(
                         f"wrong translation: VPN {vpn:#x} -> {pfn:#x}, "
                         f"page table says {expected:#x}")
-            if self.pfn_observer is not None:
-                self.pfn_observer(cid, stream_id, pasid, vpn, pfn)
+            observer = observer_slot[0]
+            if observer is not None:
+                observer(cid, stream_id, pasid, vpn, pfn)
             if migration is not None:
                 migration.note_access(cid, owner_of(pfn), pasid, vpn)
             fabric_access(cid, pfn, done)
         return access
-
-    def _stream_drained(self, stream: AccessStream) -> None:
-        self._remaining -= 1
 
     # -- tenant lifecycle (scenario mode) ------------------------------------
 
@@ -635,6 +644,21 @@ class McmGpuSimulator:
     # -- execution -----------------------------------------------------------
 
     def run(self, max_events: int | None = None) -> SimResult:
+        """Run the trace to completion, once.
+
+        A simulator is spent after ``run()``: its stats, TLB contents and
+        tracer spans stay readable, but the wiring that made it run is
+        released (:meth:`_release`), so a second ``run()`` raises.
+        """
+        if self._spent:
+            raise SimulationError("a simulator runs once; build a new one")
+        self._spent = True
+        try:
+            return self._run(max_events)
+        finally:
+            self._release()
+
+    def _run(self, max_events: int | None) -> SimResult:
         if self.scenario is not None:
             # Canonical replay order: same-cycle ties resolve arrivals
             # first, then by PASID — identical in the oracle's replay.
@@ -646,13 +670,37 @@ class McmGpuSimulator:
         for stream in self.streams:
             stream.start()
         self.queue.run(max_events=max_events)
-        if self._remaining:
+        undrained = sum(not stream.drained for stream in self.streams)
+        if undrained:
             raise SimulationError(
-                f"{self._remaining} streams never drained (translation "
+                f"{undrained} streams never drained (translation "
                 f"deadlock?) at cycle {self.queue.now}")
         if self.invariant_checker is not None:
             self.invariant_checker.verify_end_of_run()
         return self._collect()
+
+    def _release(self) -> None:
+        """Drop the back-links ``_build`` wired, so a finished simulator is
+        freed by reference counting alone (no cyclic garbage).
+
+        Each link here closes a cycle between components; everything a
+        result reader needs (stats, TLB contents, tracer spans, page
+        tables) is held in plain, acyclic attributes and stays readable.
+        """
+        for agent in self.agents.values():
+            agent._routes = ()
+            agent.l2.on_insert = agent.l2.on_evict = None
+        for chiplet in self.chiplets:
+            if isinstance(chiplet.miss_handler, FBarreHandler):
+                chiplet.miss_handler.peers = {}
+        for handler in self._ats_handlers.values():
+            handler.on_prefetch_fill = None
+        if self.iommu is not None:
+            self.iommu.respond = None
+        for gmmu in self.gmmus:
+            gmmu.respond = None
+        for stream in self.streams:
+            stream._complete_cb = None
 
     def _collect(self) -> SimResult:
         cfg = self.config

@@ -42,15 +42,13 @@ class AccessStream:
                  accesses: Sequence[TraceAccess], window: int,
                  translate: Callable[[int, int, int, Callable], None],
                  access_data: Callable[[int, int, int, int, Callable], None],
-                 on_drained: Callable[["AccessStream"], None], *,
-                 chiplet_id: int = 0, tracer=NULL_TRACER) -> None:
+                 *, chiplet_id: int = 0, tracer=NULL_TRACER) -> None:
         self.queue = queue
         self.stream_id = stream_id
         self.accesses = accesses
         self.window = window
         self.translate = translate
         self.access_data = access_data
-        self.on_drained = on_drained
         self.chiplet_id = chiplet_id
         self.tracer = tracer
         self.stats = StatSet(f"stream.{stream_id}")
@@ -78,7 +76,6 @@ class AccessStream:
     def start(self) -> None:
         if not self.accesses:
             self.finish_time = self.queue.now
-            self.on_drained(self)
             return
         self.queue.schedule(0, self._try_issue)
 
@@ -95,7 +92,6 @@ class AccessStream:
         self._cancelled = True
         if self.finish_time is None:
             self.finish_time = self.queue.now
-            self.on_drained(self)
 
     def _try_issue(self) -> None:
         """Issue the next access if the window has room."""
@@ -147,7 +143,6 @@ class AccessStream:
         self._completed += 1
         if self._completed == self._num_accesses:
             self.finish_time = self.queue.now
-            self.on_drained(self)
             return
         self._try_issue()
 

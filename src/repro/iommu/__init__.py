@@ -3,7 +3,7 @@
 from repro.iommu.ats import AtsRequest, AtsResponse, FILTER_UPDATE_BITS
 from repro.iommu.iommu import Iommu
 from repro.iommu.pec import PecLogic
-from repro.iommu.scheduler import group_key, select_next
+from repro.iommu.scheduler import select_next
 
 __all__ = [
     "AtsRequest",
@@ -11,6 +11,5 @@ __all__ = [
     "FILTER_UPDATE_BITS",
     "Iommu",
     "PecLogic",
-    "group_key",
     "select_next",
 ]

@@ -16,21 +16,6 @@ from repro.iommu.ats import AtsRequest
 from repro.mapping.coalescing import PecBuffer
 
 
-def group_key(pec_buffer: PecBuffer, pasid: int,
-              vpn: int) -> tuple[int, int, int, int] | None:
-    """A hashable id of the coalescing group a VPN would belong to.
-
-    Two requests with equal group keys are served by one page-table walk
-    (ignoring per-group fallback cases, which only cost a lost optimization,
-    never correctness — the PFN calculator re-checks membership).
-    """
-    desc = pec_buffer.lookup(pasid, vpn)
-    if desc is None:
-        return None
-    rnd, within = divmod(vpn - desc.start_vpn, desc.round_pages)
-    return (desc.pasid, desc.data_id, rnd, within % desc.interlv_gran)
-
-
 def select_next(pending: deque[AtsRequest], walking: Iterable[tuple[int, int]],
                 pec_buffer: PecBuffer, tracer=NULL_TRACER) -> AtsRequest:
     """Pop the next request to walk, de-prioritizing coalescible ones.
@@ -38,16 +23,18 @@ def select_next(pending: deque[AtsRequest], walking: Iterable[tuple[int, int]],
     ``walking`` holds the (pasid, vpn) pairs currently under translation.
     Rotation is bounded by the queue length: when *every* pending request is
     coalescible to a walking translation, the front one is walked anyway
-    (otherwise the queue could starve).
+    (otherwise the queue could starve).  Group keys come from the PEC
+    buffer's memo (:meth:`PecBuffer.group_key`), so each request is keyed
+    once, not once per dispatch it waits through.
     """
     if not pending:
         raise IndexError("select_next on empty queue")
-    walking_keys = {group_key(pec_buffer, pasid, vpn)
-                    for pasid, vpn in walking}
+    group_key = pec_buffer.group_key
+    walking_keys = {group_key(pasid, vpn) for pasid, vpn in walking}
     walking_keys.discard(None)
     for _ in range(len(pending)):
         front = pending[0]
-        key = group_key(pec_buffer, front.pasid, front.vpn)
+        key = group_key(front.pasid, front.vpn)
         if key is None or key not in walking_keys:
             return pending.popleft()
         if tracer.enabled:

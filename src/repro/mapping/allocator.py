@@ -170,6 +170,30 @@ class FrameAllocatorGroup:
         """
         return self._scan(sharers, run_length, start_from)
 
+    def common_free_map(self, sharers: tuple[int, ...]) -> bytearray:
+        """Byte map of the frames free on *every* sharer (1 = free): the
+        AND of their free maps, for a caller that claims many common frames
+        in a row (and zeroes each one it takes)."""
+        common = bytearray(self.allocators[sharers[0]].free_map)
+        view = np.frombuffer(common, dtype=np.uint8)
+        for chiplet in sharers[1:]:
+            view &= np.frombuffer(self.allocators[chiplet].free_map,
+                                  dtype=np.uint8)
+        return common
+
+    def claim_common(self, sharers: tuple[int, ...], pfns: np.ndarray) -> None:
+        """Claim every frame of ``pfns`` (distinct) on every sharer chiplet;
+        raises, claiming nothing, unless all of them are free everywhere."""
+        views = [np.frombuffer(self.allocators[c].free_map, dtype=np.uint8)
+                 for c in sharers]
+        if not all(view[pfns].all() for view in views):
+            raise AllocationError(
+                f"claim of {len(pfns)} frames on chiplets {sharers}: "
+                f"not all common-free")
+        for chiplet, view in zip(sharers, views):
+            view[pfns] = 0
+            self.allocators[chiplet]._free_count -= len(pfns)
+
     def allocate_common(self, sharers: tuple[int, ...], local_pfn: int) -> None:
         """Claim ``local_pfn`` on every sharer chiplet atomically."""
         claimed: list[int] = []

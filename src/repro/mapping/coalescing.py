@@ -215,6 +215,10 @@ class PecBuffer:
             raise AddressError("PEC buffer needs positive capacity")
         self.capacity = capacity
         self._entries: list[DataDescriptor] = []
+        #: (pasid, vpn) -> :meth:`group_key`, dropped whenever the entries
+        #: change (a tenant's data arriving, its address space departing).
+        self._group_keys: dict[tuple[int, int],
+                               tuple[int, int, int, int] | None] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -237,9 +241,11 @@ class PecBuffer:
         for i, existing in enumerate(entries):
             if existing.pasid == pasid and existing.data_id == data_id:
                 entries[i] = desc
+                self._group_keys.clear()
                 return None
         if len(self._entries) < self.capacity:
             self._entries.append(desc)
+            self._group_keys.clear()
             return None
         victim_index = min(range(len(self._entries)),
                            key=lambda i: self._entries[i].num_pages)
@@ -247,6 +253,7 @@ class PecBuffer:
             return desc  # new data is the smallest: drop it instead
         victim = self._entries[victim_index]
         self._entries[victim_index] = desc
+        self._group_keys.clear()
         return victim
 
     def lookup(self, pasid: int, vpn: int) -> DataDescriptor | None:
@@ -256,11 +263,33 @@ class PecBuffer:
                 return desc
         return None
 
+    def group_key(self, pasid: int,
+                  vpn: int) -> tuple[int, int, int, int] | None:
+        """A hashable id of the coalescing group a VPN would belong to.
+
+        Two requests with equal group keys are served by one page-table
+        walk (ignoring per-group fallback cases, which only cost a lost
+        optimization, never correctness — the PFN calculator re-checks
+        membership).  Memoized per VPN until the entries next change.
+        """
+        try:
+            return self._group_keys[pasid, vpn]
+        except KeyError:
+            pass
+        desc = self.lookup(pasid, vpn)
+        key = None
+        if desc is not None:
+            rnd, within = divmod(vpn - desc.start_vpn, desc.round_pages)
+            key = (desc.pasid, desc.data_id, rnd, within % desc.interlv_gran)
+        self._group_keys[pasid, vpn] = key
+        return key
+
     def remove_pasid(self, pasid: int) -> int:
         """Drop every descriptor belonging to ``pasid`` (address-space
         teardown); returns how many entries were removed."""
         before = len(self._entries)
         self._entries = [d for d in self._entries if d.pasid != pasid]
+        self._group_keys.clear()
         return before - len(self._entries)
 
     def size_bits(self) -> int:
@@ -269,3 +298,4 @@ class PecBuffer:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._group_keys.clear()

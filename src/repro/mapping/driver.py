@@ -14,8 +14,9 @@
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.common.config import MemoryMap
 from repro.common.errors import AllocationError, ConfigError, InvariantViolation
@@ -36,6 +37,10 @@ from repro.memsim.pte import (
 #: Gap between consecutive data objects in virtual space, so VPN arithmetic
 #: can never accidentally cross data boundaries.
 _VA_GAP_PAGES = 64
+
+#: Radix that packs a page's (inter, intra, merged) layout into one code:
+#: intra offsets and merged-group counts both stay below it.
+_LAYOUTS = MAX_MERGED_GROUPS + 1
 
 
 @dataclass
@@ -86,9 +91,9 @@ class GpuDriver:
                 f"at most {MAX_MERGED_GROUPS} merged groups fit in the PTE")
         if num_chiplets * memory_map.frames_per_chiplet > PFN_MASK + 1:
             raise ConfigError("global PFNs exceed the PTE's 40-bit PFN field")
-        self._bases = memory_map.chiplet_bases
+        self._bases = np.array(memory_map.chiplet_bases, dtype=np.int64)
         #: Raw PTE per (coal_bitmap, inter, intra, merged) layout with PFN 0,
-        #: validated once through PteFields; see :meth:`_pte`.
+        #: validated once through PteFields; see :meth:`_template`.
         self._pte_templates: dict[tuple[int, int, int, int], int] = {}
         #: IOMMU-side PEC buffer, filled as data is allocated (Section IV-G).
         self.pec_buffer = PecBuffer(pec_buffer_entries)
@@ -177,24 +182,39 @@ class GpuDriver:
         if table.is_mapped(vpn):
             return []
         desc = record.descriptor
-        ptes: dict[int, int] = {}
         if desc is None:
             chiplet = record.plan.chiplet_of_offset(vpn - record.start_vpn)
-            ptes[vpn] = self._pte(chiplet,
-                                  self.allocators[chiplet].allocate_any())
-            record.chiplet_by_vpn[vpn] = chiplet
+            ptes = self._encode(record, np.array([vpn]), np.array([chiplet]),
+                                self.allocators[chiplet].allocate_any(),
+                                self._template())
             record.fallback_pages += 1
         else:
-            rnd, _inter, intra = desc.position(vpn)
-            members = [(j, m) for j, m in self._group_members(desc, rnd, intra)
+            members = [(j, m) for j, m in enumerate(desc.group_vpns(vpn))
                        if not table.is_mapped(m)]
-            self._map_single_group(record, rnd, intra, members, ptes)
+            inters = np.array([j for j, _m in members])
+            vpns = np.array([m for _j, m in members])
+            sharers = tuple(desc.gpu_map[j] for j, _m in members)
+            local_pfn = (self.allocators.find_common_free(sharers)
+                         if len(members) > 1 else None)
+            if local_pfn is None:
+                # Fallback: map the members individually (Section IV-G).
+                frames = [self.allocators[c].allocate_any() for c in sharers]
+                ptes = self._encode(record, vpns, np.array(sharers),
+                                    np.array(frames), self._template())
+                record.fallback_pages += len(members)
+            else:
+                self.allocators.allocate_common(sharers, local_pfn)
+                ptes = self._encode(record, vpns, np.array(sharers),
+                                    local_pfn,
+                                    self._group_templates(inters, sharers))
+                record.coalesced_pages += len(members)
         table.map_many(ptes, self.extended_ptes)
         return list(ptes)
 
-    def _pte(self, chiplet: int, local_pfn: int, coal_bitmap: int = 0,
-             inter: int = 0, intra: int = 0, merged: int = 1) -> int:
-        """Raw PTE of a frame: its layout's cached template ORed with the PFN."""
+    def _template(self, coal_bitmap: int = 0, inter: int = 0, intra: int = 0,
+                  merged: int = 1) -> int:
+        """Raw PTE of one layout with PFN 0, validated once through
+        :class:`PteFields` and cached; a page's PTE ORs in its PFN."""
         key = (coal_bitmap, inter, intra, merged)
         template = self._pte_templates.get(key)
         if template is None:
@@ -202,136 +222,174 @@ class GpuDriver:
                 present=True, global_pfn=0, coal_bitmap=coal_bitmap,
                 inter_gpu_coal_order=inter, intra_gpu_coal_order=intra,
                 merged_groups=merged, extended=self.extended_ptes))
-        return template | (self._bases[chiplet] + local_pfn) << PFN_SHIFT
+        return template
+
+    def _encode(self, record: AllocatedData, vpns: np.ndarray,
+                chiplets: np.ndarray, local_pfns, templates) -> dict[int, int]:
+        """The PTEs of pages ``vpns``, in mapping order: frame
+        ``local_pfns`` of chiplet ``chiplets`` ORed into ``templates``.
+
+        Records each page's owner in ``record.chiplet_by_vpn`` in the same
+        order.  ``local_pfns`` and ``templates`` may be scalars.
+        """
+        raw = templates | (self._bases[chiplets] + local_pfns) << PFN_SHIFT
+        vpn_list = vpns.tolist()
+        record.chiplet_by_vpn.update(zip(vpn_list, chiplets.tolist()))
+        return dict(zip(vpn_list, raw.tolist()))
+
+    def _group_templates(self, inters: np.ndarray, sharers: tuple[int, ...],
+                         intras=0, merged=1) -> np.ndarray:
+        """Templates of coalesced pages at inter orders ``inters`` of a
+        group over ``sharers`` (and, merged, at ``intras`` of ``merged``
+        groups): the group encoder of both ``malloc`` and ``fault_in``."""
+        bitmap = self._bitmap_for(sharers)
+        if self.compact_bitmap:
+            inters = np.minimum(inters, 7)
+        # One template per distinct (inter, intra, merged) layout.
+        codes = (inters * _LAYOUTS + intras) * _LAYOUTS + merged
+        keys, index = np.unique(codes, return_inverse=True)
+        table = [self._template(bitmap, code // _LAYOUTS ** 2,
+                                code // _LAYOUTS % _LAYOUTS, code % _LAYOUTS)
+                 for code in keys.tolist()]
+        return np.array(table, dtype=np.int64)[index]
 
     def _map_individually(self, record: AllocatedData) -> dict[int, int]:
-        """Default driver path: each page gets any free local frame."""
-        owners = [record.plan.chiplet_of_offset(offset)
-                  for offset in range(record.num_pages)]
-        frames = {chiplet: iter(self.allocators[chiplet].allocate_many(count))
-                  for chiplet, count in Counter(owners).items()}
-        ptes = {vpn: self._pte(chiplet, next(frames[chiplet]))
-                for vpn, chiplet in enumerate(owners, record.start_vpn)}
-        record.chiplet_by_vpn.update(zip(ptes, owners))
-        record.fallback_pages += len(owners)
-        return ptes
+        """Default driver path: each page gets the lowest free local frame
+        of its owner, pages taking their owner's frames in VPN order."""
+        plan = record.plan
+        offsets = np.arange(record.num_pages)
+        owners = np.array(plan.gpu_map)[
+            offsets % (plan.interlv_gran * len(plan.gpu_map))
+            // plan.interlv_gran]
+        local = np.empty_like(offsets)
+        for chiplet in plan.gpu_map:
+            mine = owners == chiplet
+            count = int(np.count_nonzero(mine))
+            if count:
+                local[mine] = self.allocators[chiplet].allocate_many(count)
+        record.fallback_pages += record.num_pages
+        return self._encode(record, offsets + record.start_vpn, owners,
+                            local, self._template())
 
     def _map_coalesced(self, record: AllocatedData) -> dict[int, int]:
-        """Barre enforcement: same local PFN across sharers per group."""
+        """Barre enforcement (Section IV-G) in one pass over the data.
+
+        Groups are mapped in order, round by round and intra offset by
+        intra offset.  Consecutive groups with the same member count form a
+        stretch: every full group, then the shrinking groups of a partial
+        last round.  Each stretch ANDs its sharers' free maps once and takes
+        each group's frame from that byte map: the lowest common-free frame
+        left or, with contiguity-aware expansion (Section V-B), first the
+        longest run of them that its round still has full groups for.
+        When the map runs dry, the stretch's remaining groups fall back to
+        per-member frames.
+        """
         desc = record.descriptor
         if desc is None:
             raise InvariantViolation(
                 f"coalesced mapping of data {record.request.data_id} "
                 f"(pasid {record.request.pasid}) without a descriptor")
-        gran = desc.interlv_gran
-        rounds = -(-record.num_pages // desc.round_pages)
+        gran, sharers = desc.interlv_gran, desc.gpu_map
+        pages, round_pages = record.num_pages, desc.round_pages
+        rounds, rest = divmod(pages, round_pages)
+        # Group g is (round g // gran, intra g % gran): its first page's
+        # offset and its member count (non-increasing in g).
+        groups = np.arange(rounds * gran + min(gran, rest))
+        firsts = groups // gran * round_pages + groups % gran
+        members = np.minimum(len(sharers), -((firsts - pages) // gran))
+        # Full groups of the partial last round: a prefix of it.
+        last_full = max(0, min(gran, rest - (len(sharers) - 1) * gran))
         ptes: dict[int, int] = {}
-        for rnd in range(rounds):
-            intra = 0
-            while intra < gran:
-                members = self._group_members(desc, rnd, intra)
-                if not members:
-                    break
-                run = self._mergeable_run(desc, record, rnd, intra)
-                if run > 1:
-                    self._map_merged_run(record, rnd, intra, run, ptes)
-                    intra += run
-                    continue
-                self._map_single_group(record, rnd, intra, members, ptes)
-                intra += 1
+        bounds = [0, *(np.flatnonzero(np.diff(members)) + 1).tolist(),
+                  len(groups)]
+        for start, stop in zip(bounds, bounds[1:]):
+            count = int(members[start])
+            group_sharers = sharers[:count]
+            merging = self.merge_max > 1 and count == len(sharers)
+            heads, pfns, runs = self._claim_groups(
+                group_sharers, start, stop, gran, rounds, last_full, merging)
+            claimed = int(runs.sum())
+            if claimed:
+                sizes = runs * count
+                element = np.repeat(np.arange(len(runs)), sizes)
+                k = np.arange(len(element)) - np.repeat(
+                    np.cumsum(sizes) - sizes, sizes)
+                run = runs[element]
+                j, i = np.divmod(k, run)
+                frames = pfns[element] + i
+                self.allocators.claim_common(
+                    group_sharers, frames[j == 0])
+                ptes.update(self._encode(
+                    record, firsts[heads[element]] + j * gran + i
+                    + record.start_vpn,
+                    np.array(group_sharers)[j], frames,
+                    self._group_templates(j, group_sharers, i, run)))
+                record.coalesced_pages += claimed * count
+            # Fallback: map each remaining group's members individually.
+            fallback = groups[start + claimed:stop]
+            if len(fallback):
+                frames = np.array([self.allocators[c].allocate_many(
+                    len(fallback)) for c in group_sharers]).T
+                ptes.update(self._encode(
+                    record,
+                    (firsts[fallback, None] + np.arange(count) * gran).ravel()
+                    + record.start_vpn,
+                    np.tile(np.array(group_sharers), len(fallback)),
+                    frames.ravel(), self._template()))
+                record.fallback_pages += len(fallback) * count
         return ptes
 
-    def _group_members(self, desc: DataDescriptor, rnd: int,
-                       intra: int) -> list[tuple[int, int]]:
-        """Existing (inter_order, vpn) pairs of group (rnd, intra).
+    def _claim_groups(self, sharers: tuple[int, ...], start: int, stop: int,
+                      gran: int, rounds: int, last_full: int,
+                      merging: bool) -> tuple[np.ndarray, ...]:
+        """Common frames for groups ``start``..``stop`` over ``sharers``, in
+        order, as three arrays: each claim's group, first frame and merged
+        group count.
 
-        Member ``j`` sits at ``vpn_at(rnd, j, intra)``, one interleave
-        chunk after member ``j - 1``; the group ends at the data's end.
+        Stops at the first group the common-free map cannot serve: every
+        later group of the stretch falls back.  A one-member group never
+        coalesces.
         """
-        vpns = range(desc.vpn_at(rnd, 0, intra), desc.end_vpn + 1,
-                     desc.interlv_gran)
-        return list(enumerate(vpns[:desc.num_sharers]))
+        if len(sharers) < 2:
+            return (np.empty(0, dtype=np.int64),) * 3
+        common = self.allocators.common_free_map(sharers)
+        if not merging:
+            # Each group takes the lowest common-free frame left, so the
+            # groups take the map's free frames in ascending order.
+            pfns = np.flatnonzero(np.frombuffer(common, dtype=np.uint8))
+            pfns = pfns[:stop - start]
+            return (np.arange(start, start + len(pfns)), pfns,
+                    np.ones_like(pfns))
+        runs = range(min(self.merge_max, gran), 1, -1)
+        patterns = {run: b"\x01" * run for run in runs}
+        # Lowest position each run length can still be found at: common
+        #: frames only ever get claimed here, so a search resumes there.
+        hints = dict.fromkeys([1, *runs], 0)
+        claims = []
+        group = start
+        while group < stop:
+            run = 1
+            rnd, intra = divmod(group, gran)
+            span = (gran if rnd < rounds else last_full) - intra
+            for length in runs:
+                if length > span:
+                    continue
+                found = common.find(patterns[length], hints[length])
+                if found >= 0:
+                    hints[length], run = found, length
+                    break
+                hints[length] = len(common) + 1
+            if run == 1:
+                found = common.find(1, hints[1])
+                if found < 0:
+                    break
+                hints[1] = found
+            common[found:found + run] = bytes(run)
+            claims.append((group, found, run))
+            group += run
+        return tuple(np.array(claims, dtype=np.int64).reshape(-1, 3).T)
 
-    def _mergeable_run(self, desc: DataDescriptor, record: AllocatedData,
-                       rnd: int, intra: int) -> int:
-        """Longest merged run starting at ``intra`` that can be allocated.
-
-        Requires the extended layout, a full group at every covered intra
-        offset, and a run of consecutive common-free PFNs.
-        """
-        if not self.extended_ptes:
-            return 1
-        max_run = min(self.merge_max, desc.interlv_gran - intra)
-        full = 0
-        for step in range(max_run):
-            members = self._group_members(desc, rnd, intra + step)
-            if len(members) != desc.num_sharers:
-                break
-            full += 1
-        sharers = tuple(desc.gpu_map)
-        for run in range(full, 1, -1):
-            if self.allocators.find_common_free_run(sharers, run) is not None:
-                return run
-        return 1
-
-    def _map_merged_run(self, record: AllocatedData, rnd: int, intra: int,
-                        run: int, ptes: dict[int, int]) -> None:
-        desc = record.descriptor
-        if desc is None:
-            raise InvariantViolation(
-                f"merged-run mapping of data {record.request.data_id} "
-                f"(pasid {record.request.pasid}) without a descriptor")
-        sharers = tuple(desc.gpu_map)
-        base_pfn = self.allocators.find_common_free_run(sharers, run)
-        if base_pfn is None:
-            # _mergeable_run found this run moments ago; losing it means
-            # the allocators mutated between the probe and the commit.
-            raise InvariantViolation(
-                f"common-free run of {run} on chiplets {sharers} vanished "
-                f"between probe and allocation (data "
-                f"{record.request.data_id}, round {rnd}, intra {intra})")
-        bitmap = self._bitmap_for(desc, sharers)
-        for offset in range(run):
-            self.allocators.allocate_common(sharers, base_pfn + offset)
-        for j, chiplet in enumerate(desc.gpu_map):
-            first = desc.vpn_at(rnd, j, intra)
-            for i in range(run):
-                ptes[first + i] = self._pte(chiplet, base_pfn + i, bitmap,
-                                            j, i, run)
-                record.chiplet_by_vpn[first + i] = chiplet
-        record.coalesced_pages += run * len(desc.gpu_map)
-
-    def _map_single_group(self, record: AllocatedData, rnd: int, intra: int,
-                          members: list[tuple[int, int]],
-                          ptes: dict[int, int]) -> None:
-        desc = record.descriptor
-        if desc is None:
-            raise InvariantViolation(
-                f"group mapping of data {record.request.data_id} "
-                f"(pasid {record.request.pasid}) without a descriptor")
-        sharers = tuple(desc.gpu_map[j] for j, _vpn in members)
-        local_pfn = (self.allocators.find_common_free(sharers)
-                     if len(members) > 1 else None)
-        if local_pfn is None:
-            # Fallback: map the members individually (Section IV-G).
-            for j, vpn in members:
-                chiplet = desc.gpu_map[j]
-                ptes[vpn] = self._pte(chiplet,
-                                      self.allocators[chiplet].allocate_any())
-                record.chiplet_by_vpn[vpn] = chiplet
-            record.fallback_pages += len(members)
-            return
-        self.allocators.allocate_common(sharers, local_pfn)
-        bitmap = self._bitmap_for(desc, sharers)
-        for j, vpn in members:
-            chiplet = desc.gpu_map[j]
-            ptes[vpn] = self._pte(chiplet, local_pfn, bitmap,
-                                  min(j, 7) if self.compact_bitmap else j)
-            record.chiplet_by_vpn[vpn] = chiplet
-        record.coalesced_pages += len(members)
-
-    def _bitmap_for(self, desc: DataDescriptor,
-                    sharers: tuple[int, ...]) -> int:
+    def _bitmap_for(self, sharers: tuple[int, ...]) -> int:
         """PTE coal_bitmap: chiplet mask, or sharer count when compact.
 
         The compact (count) representation is the Section VI scalability
@@ -450,6 +508,7 @@ class GpuDriver:
         new_local = self.allocators[dest].allocate_any()
         self.allocators[old_chiplet].release(old_local)
         self.allocators.reset_hints()
-        table.map_many({vpn: self._pte(dest, new_local)}, self.extended_ptes)
-        record.chiplet_by_vpn[vpn] = dest
+        table.map_many(self._encode(record, np.array([vpn]), np.array([dest]),
+                                    new_local, self._template()),
+                       self.extended_ptes)
         return affected

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.common import AddressError, TranslationError
 from repro.iommu import PecLogic
-from repro.iommu.scheduler import group_key
 from repro.mapping import (
     DataDescriptor,
     PEC_ENTRY_BITS,
@@ -223,6 +222,29 @@ class TestPecBuffer:
     def test_size_bits_matches_paper(self):
         assert PecBuffer(capacity=5).size_bits() == 590
 
+    def test_memoized_group_keys_follow_every_change(self):
+        """A tenant's data arriving, replacing, evicting or departing
+        re-keys the VPNs it covers; nothing else does."""
+        buf = PecBuffer(capacity=2)
+        assert buf.group_key(0, 1003) is None
+        buf.insert(self.make(1, 10))
+        assert buf.group_key(0, 1003) == (0, 1, 1, 0)
+        assert buf.group_key(0, 1005) == (0, 1, 2, 0)
+        buf.insert(self.make(1, 4))             # replaced: ends at 1003
+        assert buf.group_key(0, 1003) == (0, 1, 1, 0)
+        assert buf.group_key(0, 1005) is None
+        buf.insert(self.make(2, 50))
+        buf.insert(self.make(3, 20))            # evicts data 1
+        assert buf.group_key(0, 1003) is None
+        assert buf.group_key(0, 3003) == (0, 3, 1, 0)
+        buf.insert(self.make(4, 5))             # smallest: dropped
+        assert buf.group_key(0, 3003) == (0, 3, 1, 0)
+        buf.remove_pasid(0)
+        assert buf.group_key(0, 3003) is None
+        buf.insert(self.make(3, 20))
+        buf.clear()
+        assert buf.group_key(0, 3003) is None
+
 
 class TestDescriptorValidation:
     def test_rejects_empty_range(self):
@@ -286,7 +308,7 @@ def test_property_calculated_pfn_matches_direct_mapping(
 # -- exactness of the inlined group arithmetic ---------------------------------
 #
 # The hot paths (``calculate_pending_pfn``, ``PecLogic.candidate_vpns``,
-# ``scheduler.group_key``) do their round/intra arithmetic inline, and the
+# ``PecBuffer.group_key``) do their round/intra arithmetic inline, and the
 # IOMMU screens its PW-queue scan by group membership.  The reference copies
 # below are the straightforward versions written with ``position()``,
 # ``vpn_at()`` and ``contains()``; the properties pin the fast paths to them.
@@ -460,8 +482,8 @@ def test_property_inline_candidates_and_group_key_match_reference(
         vpn = desc.start_vpn + off
         assert pec.candidate_vpns(0, vpn, max_merge) == \
             _ref_candidate_vpns(buf, 0, vpn, max_merge)
-        assert group_key(buf, 0, vpn) == _ref_group_key(buf, 0, vpn)
-        assert group_key(buf, 1, vpn) is None  # other PASID
+        assert buf.group_key(0, vpn) == _ref_group_key(buf, 0, vpn)
+        assert buf.group_key(1, vpn) is None  # other PASID
     assert pec.candidate_vpns(0, desc.start_vpn, max_merge) == \
         _ref_candidate_vpns(buf, 0, desc.start_vpn, max_merge)
 

@@ -1,5 +1,8 @@
 """Structural tests of the figure registry (no simulations)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import runner
@@ -46,3 +49,12 @@ def test_render_reads_only_what_run_returns(name):
         out = fig.run()
     assert fig.render(out)
     assert runner.SIMULATIONS == before
+
+
+def test_render_pins_cover_every_figure():
+    """``scripts/check_figure_renders.py`` pins exactly the registered
+    figures, so a new figure cannot ship without a render pin."""
+    pins = Path(__file__).parent / "golden" / "figures" / "renders.json"
+    pinned = json.loads(pins.read_text())
+    assert pinned["scale"] == 0.05
+    assert list(pinned["renders"]) == list(FIGURES)

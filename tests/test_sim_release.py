@@ -1,0 +1,50 @@
+"""A finished simulator is freed by reference counting alone.
+
+``McmGpuSimulator.run`` ends by releasing the links ``_build`` wired that
+close reference cycles (agent routes and L2 hooks, F-Barre peer tables,
+the IOMMU/GMMU response routes, Valkyrie's prefetch fill, each stream's
+completion callback), and builds every other callback as a closure over
+the part it needs, never over the simulator.  So once its last name goes,
+nothing is left for the cyclic collector.  Runs with the invariant
+checker are out of scope (DESIGN.md): its wrappers close over the
+simulator.
+"""
+
+from __future__ import annotations
+
+import gc
+
+import pytest
+
+from repro.common.errors import SimulationError
+from repro.gpu.mcm import McmGpuSimulator
+from repro.scenarios import NAMED_SCENARIOS
+from tests.test_golden_runs import POINTS, SCALE, SCENARIO_SCALE, _workload
+
+
+def _finished(name: str, trace: bool) -> McmGpuSimulator:
+    factory, args, app = POINTS[name]
+    scale = SCENARIO_SCALE if app in NAMED_SCENARIOS else SCALE
+    sim = McmGpuSimulator(factory(*args), [_workload(app)],
+                          trace_scale=scale, trace=trace)
+    sim.run()
+    return sim
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("name", sorted(POINTS))
+def test_finished_simulator_leaves_no_cyclic_garbage(name: str,
+                                                     trace: bool) -> None:
+    sim = _finished(name, trace)
+    with pytest.raises(SimulationError, match="runs once"):
+        sim.run()
+    # What a result reader needs stays readable after the release.
+    assert sum(len(s) for c in sim.chiplets for s in c.l2._sets)
+    assert not trace or sim.tracer.spans
+    gc.collect()
+    gc.disable()
+    try:
+        del sim
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

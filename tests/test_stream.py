@@ -6,8 +6,6 @@ from repro.gpu.stream import AccessStream, TraceAccess
 
 def make_stream(queue, accesses, window=4, translate_latency=10,
                 data_latency=5):
-    done = []
-
     def translate(stream_id, pasid, vpn, cb):
         queue.schedule(translate_latency,
                        lambda: cb(type("E", (), {"global_pfn": vpn + 100})()))
@@ -15,10 +13,8 @@ def make_stream(queue, accesses, window=4, translate_latency=10,
     def access_data(stream_id, pasid, vpn, pfn, cb):
         queue.schedule(data_latency, cb)
 
-    stream = AccessStream(queue, 0, accesses, window,
-                          translate=translate, access_data=access_data,
-                          on_drained=done.append)
-    return stream, done
+    return AccessStream(queue, 0, accesses, window,
+                        translate=translate, access_data=access_data)
 
 
 def accesses(n, gap=0, weight=2.0):
@@ -28,27 +24,26 @@ def accesses(n, gap=0, weight=2.0):
 
 def test_drains_all_accesses():
     q = EventQueue()
-    stream, done = make_stream(q, accesses(10))
+    stream = make_stream(q, accesses(10))
     stream.start()
     q.run()
     assert stream.drained
-    assert done and done[0] is stream
     assert stream.finish_time == q.now
 
 
 def test_empty_trace_finishes_immediately():
     q = EventQueue()
-    stream, done = make_stream(q, [])
+    stream = make_stream(q, [])
     stream.start()
     q.run()
-    assert stream.drained is True or stream.finish_time == 0
-    assert done
+    assert stream.drained
+    assert stream.finish_time == 0
 
 
 def test_gap_paces_issues():
     """With a huge window, runtime ~ n*gap + pipeline tail."""
     q = EventQueue()
-    stream, _ = make_stream(q, accesses(10, gap=50), window=64)
+    stream = make_stream(q, accesses(10, gap=50), window=64)
     stream.start()
     q.run()
     assert 9 * 50 <= q.now <= 9 * 50 + 100
@@ -57,7 +52,7 @@ def test_gap_paces_issues():
 def test_window_limits_outstanding():
     """With window 1 and zero gap, accesses fully serialize."""
     q = EventQueue()
-    stream, _ = make_stream(q, accesses(5, gap=0), window=1,
+    stream = make_stream(q, accesses(5, gap=0), window=1,
                             translate_latency=10, data_latency=10)
     stream.start()
     q.run()
@@ -67,13 +62,13 @@ def test_window_limits_outstanding():
 
 def test_instructions_sum_weights():
     q = EventQueue()
-    stream, _ = make_stream(q, accesses(8, weight=2.5))
+    stream = make_stream(q, accesses(8, weight=2.5))
     assert stream.instructions == 20.0
 
 
 def test_translation_latency_observed():
     q = EventQueue()
-    stream, _ = make_stream(q, accesses(4), translate_latency=33)
+    stream = make_stream(q, accesses(4), translate_latency=33)
     stream.start()
     q.run()
     assert stream.latency_hist.mean() == 33
