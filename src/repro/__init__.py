@@ -19,21 +19,32 @@ Quick example::
     print(result.cycles, result.mpki, result.coalesced_fraction)
 """
 
-from repro.common import BackendKind, MappingKind, SimConfig
-from repro.gpu import McmGpuSimulator, SimResult, run_app
-from repro.workloads import APP_ORDER, get_workload, make_suite
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "APP_ORDER",
-    "BackendKind",
-    "MappingKind",
-    "McmGpuSimulator",
-    "SimConfig",
-    "SimResult",
-    "__version__",
-    "get_workload",
-    "make_suite",
-    "run_app",
-]
+#: Public name -> the module that defines it.  Names load on first access
+#: (PEP 562), so ``import repro`` and the plan and cache-read paths under
+#: it import neither the simulator nor numpy.
+_EXPORTS = {
+    "APP_ORDER": "repro.workloads.suite",
+    "BackendKind": "repro.common.config",
+    "MappingKind": "repro.common.config",
+    "McmGpuSimulator": "repro.gpu.mcm",
+    "SimConfig": "repro.common.config",
+    "SimResult": "repro.common.result",
+    "get_workload": "repro.workloads.suite",
+    "make_suite": "repro.workloads.suite",
+    "run_app": "repro.gpu.mcm",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

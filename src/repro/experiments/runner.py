@@ -45,8 +45,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.common.config import SimConfig
+from repro.common.result import SimResult
 from repro.common.stats import Histogram, LatencyHistogram
-from repro.gpu.mcm import McmGpuSimulator, SimResult
 from repro.workloads.base import Workload
 from repro.workloads.suite import get_workload
 
@@ -220,6 +220,7 @@ class SweepPoint:
 
     def simulate(self) -> SimResult:
         """Run the point, bypassing the cache."""
+        from repro.gpu.mcm import McmGpuSimulator
         workloads = [get_workload(self.app) if isinstance(self.app, str)
                      else self.app]
         if self.pair_with:

@@ -50,9 +50,8 @@ from dataclasses import dataclass, field
 from queue import Empty
 
 from repro.experiments import runner
+from repro.common.result import SimResult
 from repro.experiments.runner import SweepPoint
-from repro.gpu import mcm
-from repro.gpu.mcm import SimResult
 
 #: Per-point cost guess (seconds) when no manifest has seconds at all —
 #: only the *relative* order matters, so any constant works.
@@ -271,6 +270,7 @@ class _Progress:
 def _run_serial(plan: list[PlannedPoint], reporter: _Progress,
                 results: dict, stats: SweepStats, events=None) -> None:
     """Run every miss inline, in plan order (cost-model longest-first)."""
+    from repro.gpu import mcm
     memo = mcm.TRACE_MEMO
     reporter.update(stats.cached, running=1)
     done = 0
@@ -307,6 +307,7 @@ def _pool_worker(worker_id: int, inboxes: list, result_q, stop) -> None:
     cache file landed — the parent loads it from disk — falling back to
     the full payload under ``REPRO_NO_CACHE`` or an unwritable cache.
     """
+    from repro.gpu import mcm
     signal.signal(signal.SIGTERM, _exit_on_sigterm)
     order = [worker_id] + [i for i in range(len(inboxes)) if i != worker_id]
     memo = mcm.TRACE_MEMO
@@ -353,6 +354,11 @@ def _run_pool(plan: list[PlannedPoint], workers: int, reporter: _Progress,
               results: dict, stats: SweepStats, events=None) -> None:
     """Run the misses on ``workers`` processes, one queue each, stealing."""
     import multiprocessing  # ~10 ms; inline-only sweeps never pay it
+
+    # Load the simulator and numpy before the workers fork, so each one
+    # inherits them instead of importing them again.
+    import numpy  # noqa: F401
+    from repro.gpu import mcm  # noqa: F401
     ctx = multiprocessing.get_context()
     inboxes = [ctx.Queue() for _ in range(workers)]
     result_q = ctx.Queue()

@@ -12,16 +12,16 @@ are ratios of ``SimResult.cycles``.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter, OrderedDict, defaultdict
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 from typing import Sequence
-
-import numpy as np
 
 from repro.common.addresses import PAGE_SIZE_4K
 from repro.common.config import BackendKind, IommuConfig, SimConfig, TlbConfig
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.events import EventQueue
+from repro.common.result import SimResult
 from repro.common.stats import Histogram, LatencyHistogram
 from repro.common.trace import NULL_TRACER, RecordingTracer
 from repro.core.fbarre import CoalescingAgent
@@ -43,70 +43,6 @@ from repro.migration.acud import MigrationEngine
 from repro.paging.demand import DemandPager
 from repro.scenarios.scenario import Scenario, TenantPlan, apply_aging
 from repro.workloads.base import Workload
-
-
-@dataclass
-class SimResult:
-    """Everything an experiment reads out of one simulation run."""
-
-    app: str
-    backend: str
-    cycles: int
-    instructions: float
-    l2_misses: int
-    l2_lookups: int
-    ats_requests: int
-    pcie_packets: int
-    mesh_packets: int
-    walks: int
-    pec_coalesced: int
-    mean_ats_time: float
-    remote_data_fraction: float
-    vpn_gaps: Histogram
-    migrations: int = 0
-    page_faults: int = 0
-    pages_per_fault: float = 0.0
-    local_coalesced_hits: int = 0
-    remote_attempts: int = 0
-    remote_hits: int = 0
-    lcf_hits: int = 0
-    lcf_false_positives: int = 0
-    gmmu_local_walks: int = 0
-    gmmu_remote_walks: int = 0
-    #: Full translation-latency distribution (log2 buckets, all streams
-    #: merged).  Always collected — the per-access cost is one counter
-    #: bump — so cached sweep results carry p50/p90/p99 tails.
-    translation_latency: LatencyHistogram = field(
-        default_factory=LatencyHistogram)
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def mpki(self) -> float:
-        """L2 TLB misses per kilo warp instruction (Table I's metric)."""
-        if not self.instructions:
-            return 0.0
-        return self.l2_misses / (self.instructions / 1000.0)
-
-    @property
-    def coalesced_fraction(self) -> float:
-        answered = self.pec_coalesced + self.walks
-        return self.pec_coalesced / answered if answered else 0.0
-
-    @property
-    def remote_hit_rate(self) -> float:
-        """Peer translation success rate (Fig 17a's RCF metric)."""
-        return self.remote_hits / self.remote_attempts if self.remote_attempts else 0.0
-
-    @property
-    def lcf_true_positive_rate(self) -> float:
-        if not self.lcf_hits:
-            return 0.0
-        return 1.0 - self.lcf_false_positives / self.lcf_hits
-
-    def speedup_over(self, baseline: "SimResult") -> float:
-        if self.cycles <= 0:
-            raise SimulationError(f"run {self.app}/{self.backend} has no cycles")
-        return baseline.cycles / self.cycles
 
 
 def build_driver(config: SimConfig) -> GpuDriver:
@@ -217,6 +153,7 @@ def build_cta_traces(workloads: Sequence[Workload], seed: int,
     key = cta_trace_key(workloads, seed, trace_scale)
     traces = TRACE_MEMO.lookup(key)
     if traces is None:
+        import numpy as np
         rng = np.random.default_rng(seed)
         traces = [w.build_ctas(rng, trace_scale) for w in workloads]
         TRACE_MEMO.store(key, traces)
@@ -237,6 +174,7 @@ def build_access_trace(config: SimConfig, workloads: Sequence[Workload],
     this, so the oracle replays the very same access stream the timing
     simulation runs.
     """
+    import numpy as np
     per_chiplet_ctas: list[list[list[TraceAccess]]] = [
         [] for _ in range(config.num_chiplets)]
     all_ctas = build_cta_traces(workloads, config.seed, trace_scale)
@@ -258,6 +196,25 @@ def build_access_trace(config: SimConfig, workloads: Sequence[Workload],
             per_chiplet_ctas[chiplet].append(
                 [TraceAccess(pasid, vpn, weight, gap) for vpn in vpns])
     return per_chiplet_ctas
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, then restore the caller's state.
+
+    Building and running a simulator allocates hundreds of thousands of
+    objects that all stay alive until the run ends, so collections in
+    between traverse live state and free nothing; a finished simulator
+    leaves no cyclic garbage either (:meth:`McmGpuSimulator._release`).
+    A collector the caller had disabled stays disabled.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class McmGpuSimulator:
@@ -305,7 +262,8 @@ class McmGpuSimulator:
         self._observer_slot: list = [None]
         #: Set by :meth:`run`: a simulator runs once.
         self._spent = False
-        self._build()
+        with _collector_paused():
+            self._build()
         #: Runtime invariant checker (debug mode, off by default): wraps the
         #: structural state — TLBs, MSHRs, filters, PEC logic, the driver —
         #: and asserts invariants as events fire.  Installing it never
@@ -653,10 +611,11 @@ class McmGpuSimulator:
         if self._spent:
             raise SimulationError("a simulator runs once; build a new one")
         self._spent = True
-        try:
-            return self._run(max_events)
-        finally:
-            self._release()
+        with _collector_paused():
+            try:
+                return self._run(max_events)
+            finally:
+                self._release()
 
     def _run(self, max_events: int | None) -> SimResult:
         if self.scenario is not None:
@@ -703,6 +662,7 @@ class McmGpuSimulator:
             stream._complete_cb = None
 
     def _collect(self) -> SimResult:
+        import numpy as np
         cfg = self.config
         l2s = {id(c.l2): c.l2 for c in self.chiplets}
         l2_misses = sum(l2.stats.count("misses") for l2 in l2s.values())

@@ -45,8 +45,6 @@ class MemoryFabric:
         self._owner_shift = (frames.bit_length() - 1
                              if frames & (frames - 1) == 0 else None)
         self._frames_per_chiplet = frames
-        #: Observer for the migration engine: (accessor, owner, global_pfn).
-        self.on_access: Callable[[int, int, int], None] | None = None
 
     def owner_of(self, global_pfn: int) -> int:
         shift = self._owner_shift
@@ -69,8 +67,6 @@ class MemoryFabric:
     def access(self, chiplet_id: int, global_pfn: int,
                done: Callable[[], None]) -> None:
         owner = self.owner_of(global_pfn)
-        if self.on_access is not None:
-            self.on_access(chiplet_id, owner, global_pfn)
         if owner == chiplet_id:
             self._counters["local_accesses"] += 1
             self._serve(owner, done)

@@ -1,41 +1,37 @@
 """Page mapping: allocators, policies, coalescing groups, the GPU driver."""
 
-from repro.mapping.allocator import FrameAllocator, FrameAllocatorGroup
-from repro.mapping.coalescing import (
-    DataDescriptor,
-    PEC_ENTRY_BITS,
-    PecBuffer,
-    calculate_pending_pfn,
-    merged_group_vpns,
-)
-from repro.mapping.driver import AllocatedData, GpuDriver
-from repro.mapping.policies import (
-    AllocationRequest,
-    ChunkingPolicy,
-    CodaPolicy,
-    LaspPolicy,
-    MappingPolicy,
-    PlacementPlan,
-    RoundRobinPolicy,
-    make_policy,
-)
+import importlib
 
-__all__ = [
-    "AllocatedData",
-    "AllocationRequest",
-    "ChunkingPolicy",
-    "CodaPolicy",
-    "DataDescriptor",
-    "FrameAllocator",
-    "FrameAllocatorGroup",
-    "GpuDriver",
-    "LaspPolicy",
-    "MappingPolicy",
-    "PEC_ENTRY_BITS",
-    "PecBuffer",
-    "PlacementPlan",
-    "RoundRobinPolicy",
-    "calculate_pending_pfn",
-    "make_policy",
-    "merged_group_vpns",
-]
+#: Public name -> the module that defines it.  Names load on first access
+#: (PEP 562): a workload's allocation requests need the policies, not the
+#: driver or numpy.
+_EXPORTS = {
+    "AllocatedData": "repro.mapping.driver",
+    "AllocationRequest": "repro.mapping.policies",
+    "ChunkingPolicy": "repro.mapping.policies",
+    "CodaPolicy": "repro.mapping.policies",
+    "DataDescriptor": "repro.mapping.coalescing",
+    "FrameAllocator": "repro.mapping.allocator",
+    "FrameAllocatorGroup": "repro.mapping.allocator",
+    "GpuDriver": "repro.mapping.driver",
+    "LaspPolicy": "repro.mapping.policies",
+    "MappingPolicy": "repro.mapping.policies",
+    "PEC_ENTRY_BITS": "repro.mapping.coalescing",
+    "PecBuffer": "repro.mapping.coalescing",
+    "PlacementPlan": "repro.mapping.policies",
+    "RoundRobinPolicy": "repro.mapping.policies",
+    "calculate_pending_pfn": "repro.mapping.coalescing",
+    "make_policy": "repro.mapping.policies",
+    "merged_group_vpns": "repro.mapping.coalescing",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -16,9 +16,12 @@ rare — data frees and page migrations only).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.common.errors import AllocationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class FrameAllocator:
@@ -93,6 +96,7 @@ class FrameAllocator:
         Draws from the ascending free list; returns the claimed frames so
         tests can release them again.
         """
+        import numpy as np
         if not 0.0 <= fraction < 1.0:
             raise AllocationError(f"fraction {fraction} out of [0, 1)")
         free = np.flatnonzero(np.frombuffer(self.free_map, dtype=np.uint8))
@@ -174,6 +178,7 @@ class FrameAllocatorGroup:
         """Byte map of the frames free on *every* sharer (1 = free): the
         AND of their free maps, for a caller that claims many common frames
         in a row (and zeroes each one it takes)."""
+        import numpy as np
         common = bytearray(self.allocators[sharers[0]].free_map)
         view = np.frombuffer(common, dtype=np.uint8)
         for chiplet in sharers[1:]:
@@ -184,6 +189,7 @@ class FrameAllocatorGroup:
     def claim_common(self, sharers: tuple[int, ...], pfns: np.ndarray) -> None:
         """Claim every frame of ``pfns`` (distinct) on every sharer chiplet;
         raises, claiming nothing, unless all of them are free everywhere."""
+        import numpy as np
         views = [np.frombuffer(self.allocators[c].free_map, dtype=np.uint8)
                  for c in sharers]
         if not all(view[pfns].all() for view in views):

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.common.config import MemoryMap
 from repro.common.errors import AllocationError, ConfigError, InvariantViolation
@@ -33,6 +32,9 @@ from repro.memsim.pte import (
     PteFields,
     encode_pte,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: Gap between consecutive data objects in virtual space, so VPN arithmetic
 #: can never accidentally cross data boundaries.
@@ -71,6 +73,7 @@ class GpuDriver:
                  spaces: AddressSpaceRegistry, policy: MappingPolicy, *,
                  barre_enabled: bool = False, merge_max: int = 1,
                  pec_buffer_entries: int = 5) -> None:
+        import numpy as np
         if merge_max < 1:
             raise ConfigError("merge_max must be >= 1")
         self.memory_map = memory_map
@@ -177,6 +180,7 @@ class GpuDriver:
         when Barre's enforcement holds, else just ``vpn``).  Idempotent: an
         already-mapped VPN returns an empty list.
         """
+        import numpy as np
         record = self.record_for(pasid, vpn)
         table = self._page_table(pasid)
         if table.is_mapped(vpn):
@@ -242,6 +246,7 @@ class GpuDriver:
         """Templates of coalesced pages at inter orders ``inters`` of a
         group over ``sharers`` (and, merged, at ``intras`` of ``merged``
         groups): the group encoder of both ``malloc`` and ``fault_in``."""
+        import numpy as np
         bitmap = self._bitmap_for(sharers)
         if self.compact_bitmap:
             inters = np.minimum(inters, 7)
@@ -256,6 +261,7 @@ class GpuDriver:
     def _map_individually(self, record: AllocatedData) -> dict[int, int]:
         """Default driver path: each page gets the lowest free local frame
         of its owner, pages taking their owner's frames in VPN order."""
+        import numpy as np
         plan = record.plan
         offsets = np.arange(record.num_pages)
         owners = np.array(plan.gpu_map)[
@@ -284,6 +290,7 @@ class GpuDriver:
         When the map runs dry, the stretch's remaining groups fall back to
         per-member frames.
         """
+        import numpy as np
         desc = record.descriptor
         if desc is None:
             raise InvariantViolation(
@@ -350,6 +357,7 @@ class GpuDriver:
         later group of the stretch falls back.  A one-member group never
         coalesces.
         """
+        import numpy as np
         if len(sharers) < 2:
             return (np.empty(0, dtype=np.int64),) * 3
         common = self.allocators.common_free_map(sharers)
@@ -466,6 +474,7 @@ class GpuDriver:
         every VPN whose PTE changed, so the caller can shoot down stale TLB
         entries.
         """
+        import numpy as np
         if not 0 <= dest < self.memory_map.num_chiplets:
             raise ConfigError(f"migrate_page: no chiplet {dest}")
         record = self.record_for(pasid, vpn)

@@ -10,12 +10,13 @@ sides observe the same post-aging free lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigError
-from repro.mapping.allocator import FrameAllocatorGroup
 from repro.workloads.base import DataSpec, Workload
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.mapping.allocator import FrameAllocatorGroup
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,7 @@ def apply_aging(allocators: FrameAllocatorGroup, scenario: Scenario) -> None:
     aging = scenario.aging
     if aging is None or aging.fraction <= 0.0:
         return
+    import numpy as np
     rng = np.random.default_rng(scenario.seed * 1_000_003 + 17)
     for chiplet in range(len(allocators)):
         claimed = allocators[chiplet].fragment(aging.fraction, rng)

@@ -11,10 +11,13 @@ report "seed 17 diverged" and lets anyone replay exactly that point.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.scenarios.scenario import AgingPlan, Scenario, TenantPlan
 from repro.workloads.base import DataSpec, Workload
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: Patterns drawn by the fuzzer (the zipf pattern's long tail makes run
 #: time seed-dependent, so like the hypothesis strategy we skip it here).
@@ -24,6 +27,7 @@ FUZZ_PATTERNS = ("stream", "blocked", "stencil", "stride", "random",
 
 def fuzz_workload(seed: int) -> Workload:
     """A small deterministic workload for validation seed ``seed``."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     pattern = FUZZ_PATTERNS[int(rng.integers(0, len(FUZZ_PATTERNS)))]
     main_pages = int(rng.integers(16, 601))
@@ -80,6 +84,7 @@ def churn_scenario(seed: int) -> Scenario:
     teardown).  Arrival/departure windows and the allocator pre-aging
     knobs are all drawn from the seed.
     """
+    import numpy as np
     rng = np.random.default_rng(seed * 9_176_501 + 3)
     num_tenants = int(rng.integers(3, 6))
     tenants = []

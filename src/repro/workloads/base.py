@@ -15,11 +15,13 @@ the mapping policy co-locates it with its pages (Section II-B).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigError
 from repro.mapping.policies import AllocationRequest
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: Pattern names understood by :meth:`Workload.build_cta_offsets`.
 PATTERNS = ("stream", "stencil", "stride", "random", "zipf", "gather",
@@ -136,6 +138,7 @@ class Workload:
 
     def _cta_arrays(self, cta: int, n_acc: int,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
         if self.pattern == "gather":
             data_idx, main_offsets = self._gather_arrays(cta, n_acc, rng)
         else:
@@ -162,6 +165,7 @@ class Workload:
     def build_cta_offsets(self, cta: int, n_acc: int,
                           rng: np.random.Generator) -> np.ndarray:
         """Main-data page offsets for one CTA under this pattern."""
+        import numpy as np
         pages = self.main.pages
         lo, hi = self._cta_slice(cta, pages)
         span = hi - lo
@@ -220,6 +224,7 @@ class Workload:
                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Sparse kernels (SpMV-like): a local row sweep interleaved with
         random gathers into a different data object (the dense vector)."""
+        import numpy as np
         p = self.params
         lo, hi = self._cta_slice(cta, self.main.pages)
         span = hi - lo

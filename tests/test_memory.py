@@ -53,16 +53,6 @@ def test_owner_of_uses_frame_windows():
     assert fabric.owner_of(4095) == 3
 
 
-def test_on_access_hook_fires():
-    q, fabric = make_fabric()
-    seen = []
-    fabric.on_access = lambda accessor, owner, pfn: seen.append(
-        (accessor, owner, pfn))
-    fabric.access(1, 2500, lambda: None)
-    q.run()
-    assert seen == [(1, 2, 2500)]
-
-
 class FakeChiplet:
     def __init__(self):
         self.invalidated = []

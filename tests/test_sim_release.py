@@ -7,7 +7,8 @@ completion callback), and builds every other callback as a closure over
 the part it needs, never over the simulator.  So once its last name goes,
 nothing is left for the cyclic collector.  Runs with the invariant
 checker are out of scope (DESIGN.md): its wrappers close over the
-simulator.
+simulator.  The cyclic collector is paused while a simulator builds and
+runs, and the caller's setting comes back however the run ends.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ import gc
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.experiments import configs
+from repro.gpu import mcm
 from repro.gpu.mcm import McmGpuSimulator
 from repro.scenarios import NAMED_SCENARIOS
+from repro.workloads import get_workload
 from tests.test_golden_runs import POINTS, SCALE, SCENARIO_SCALE, _workload
 
 
@@ -46,5 +50,46 @@ def test_finished_simulator_leaves_no_cyclic_garbage(name: str,
     try:
         del sim
         assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _gemv() -> McmGpuSimulator:
+    return McmGpuSimulator(configs.baseline(), [get_workload("gemv")],
+                           trace_scale=SCALE)
+
+
+def test_collector_is_paused_over_build_and_run(monkeypatch) -> None:
+    seen = {"build": [], "run": []}
+    real_build_driver = mcm.build_driver
+
+    def build_driver(config):
+        seen["build"].append(gc.isenabled())
+        return real_build_driver(config)
+
+    monkeypatch.setattr(mcm, "build_driver", build_driver)
+    sim = _gemv()
+    assert gc.isenabled()
+    sim.pfn_observer = lambda *_access: seen["run"].append(gc.isenabled())
+    sim.run()
+    assert gc.isenabled()
+    assert seen["build"] == [False]
+    assert seen["run"] and not any(seen["run"])
+
+
+def test_collector_is_restored_when_a_run_raises() -> None:
+    sim = _gemv()
+    with pytest.raises(SimulationError, match="max_events"):
+        sim.run(max_events=10)
+    assert gc.isenabled()
+
+
+def test_collector_the_caller_disabled_stays_disabled() -> None:
+    gc.disable()
+    try:
+        sim = _gemv()
+        assert not gc.isenabled()
+        sim.run()
+        assert not gc.isenabled()
     finally:
         gc.enable()
