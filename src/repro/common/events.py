@@ -11,8 +11,11 @@ identical while skipping almost all heap work:
   handler-to-handler chains — go to a plain deque drained at the end of
   the current cycle's dispatch.
 * **Timing wheel.**  Delays below :data:`_WHEEL_SLOTS` (every TLB, link,
-  and walk latency in practice) go to a ring of per-cycle FIFO buckets:
-  O(1) schedule, O(1) dispatch, no heap churn.
+  and walk latency in practice) go to a ring of per-cycle FIFO buckets
+  (plain lists): O(1) schedule, O(1) dispatch, no heap churn.  The main
+  loop detaches a cycle's bucket and drains it in one pass, because no
+  callback can add to it: a wheel delay lies in ``[1, _WHEEL_SLOTS)``, so
+  it never lands in the current cycle's slot.
 * **Far heap.**  Only delays of ``_WHEEL_SLOTS`` cycles or more fall back
   to the binary heap.
 
@@ -65,8 +68,8 @@ class EventQueue:
         self._heap: list[tuple[int, int, Callable[[], Any]]] = []
         #: Zero-delay events for the *current* cycle, in schedule order.
         self._ready: deque[tuple[int, Callable[[], Any]]] = deque()
-        self._wheel: list[deque[tuple[int, Callable[[], Any]]]] = [
-            deque() for _ in range(_WHEEL_SLOTS)]
+        self._wheel: list[list[tuple[int, Callable[[], Any]]]] = [
+            [] for _ in range(_WHEEL_SLOTS)]
         self._wheel_count = 0
         self._cancelled: set[int] = set()
         self._removed: set[int] = set()
@@ -88,18 +91,19 @@ class EventQueue:
         """
         if type(delay) is not int:
             delay = _coerce_delay(delay)
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
-        self._seq = seq + 1
-        if delay == 0:
-            self._ready.append((seq, callback))
-        elif delay < _WHEEL_SLOTS:
+        # Most frequent tier first: nearly every delay is a wheel delay.
+        if 0 < delay < _WHEEL_SLOTS:
             self._wheel[(self.now + delay) & _WHEEL_MASK].append(
                 (seq, callback))
             self._wheel_count += 1
-        else:
+        elif delay == 0:
+            self._ready.append((seq, callback))
+        elif delay > 0:
             heappush(self._heap, (self.now + delay, seq, callback))
+        else:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        self._seq = seq + 1
         return seq
 
     def schedule_at(self, time: int, callback: Callable[[], Any]) -> int:
@@ -161,7 +165,7 @@ class EventQueue:
             else:
                 bucket = self._wheel[self.now & _WHEEL_MASK]
                 if bucket:
-                    _seq, callback = bucket.popleft()
+                    _seq, callback = bucket.pop(0)
                     self._wheel_count -= 1
                 elif self._ready:
                     _seq, callback = self._ready.popleft()
@@ -233,14 +237,18 @@ class EventQueue:
         checks) hoisted out and each cycle dispatched as one batch: heap
         arrivals, then the wheel bucket, then the same-cycle FIFO (see the
         module docstring for why this equals ``(time, sequence)`` order).
-        ``events_fired`` is flushed even when a callback raises, so error
-        contexts still report an accurate count.
+        A detached bucket still honours a cancel made while it drains: the
+        handle is not found in the wheel, so it is marked lazily and
+        skipped here.  ``events_fired`` is flushed even when a callback
+        raises, so error contexts still report an accurate count, and the
+        unfired rest of a detached bucket is put back.
         """
         heap, ready, cancelled = self._heap, self._ready, self._cancelled
         wheel = self._wheel
         pop, popleft = heappop, self._ready.popleft
         fired = 0
         now = self.now
+        bucket = None
         try:
             while True:
                 while heap and heap[0][0] == now:
@@ -253,13 +261,18 @@ class EventQueue:
                     callback()
                 bucket = wheel[now & _WHEEL_MASK]
                 if bucket:
-                    drained = 0
-                    while bucket:
-                        _seq, callback = bucket.popleft()
-                        drained += 1
+                    wheel[now & _WHEEL_MASK] = []
+                    start = fired
+                    for seq, callback in bucket:
+                        if cancelled and seq in cancelled:
+                            cancelled.discard(seq)
+                            self._removed.add(seq)
+                            start -= 1
+                            continue
                         fired += 1
                         callback()
-                    self._wheel_count -= drained
+                    self._wheel_count -= len(bucket)
+                bucket = None
                 while ready:
                     _seq, callback = popleft()
                     fired += 1
@@ -282,6 +295,13 @@ class EventQueue:
                     break
                 now = next_time
                 self.now = now
+        except BaseException:
+            if bucket:
+                # Entries before the raising one fired or were skipped.
+                rest = bucket[fired - start:]
+                wheel[now & _WHEEL_MASK] = rest
+                self._wheel_count -= len(bucket) - len(rest)
+            raise
         finally:
             self._events_fired += fired
 

@@ -18,6 +18,7 @@ Valkyrie's L2-side behaviour (translation prefetch) is a flag on
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import Callable
 
 from repro.common.events import EventQueue
@@ -91,21 +92,21 @@ class AtsHandler(MissHandler):
             self._counters["dead_resolves_dropped"] += 1
             return
         key = (pasid, vpn)
-        waiters = self._waiting.setdefault(key, [])
-        waiters.append(done)
-        if self._trace_on:
-            self.tracer.phase(pasid, vpn,
-                              "ats_send" if len(waiters) == 1 else "ats_merge")
-        if len(waiters) == 1:
-            self._send(AtsRequest(pasid=pasid, vpn=vpn,
-                                  src_chiplet=self.chiplet_id,
-                                  issue_time=self.queue.now))
+        waiters = self._waiting.get(key)
+        if waiters is None:
+            self._waiting[key] = [done]
+            if self._trace_on:
+                self.tracer.phase(pasid, vpn, "ats_send")
+            self._counters["ats_sent"] += 1
+            self.pcie_up.send(AtsRequest(pasid, vpn, self.chiplet_id,
+                                         self.queue.now),
+                              self.deliver_to_iommu)
+        else:
+            waiters.append(done)
+            if self._trace_on:
+                self.tracer.phase(pasid, vpn, "ats_merge")
         if self.prefetch_next:
             self._maybe_prefetch(pasid, vpn + 1)
-
-    def _send(self, request: AtsRequest) -> None:
-        self._counters["ats_sent"] += 1
-        self.pcie_up.send(request, self.deliver_to_iommu)
 
     def _maybe_prefetch(self, pasid: int, vpn: int) -> None:
         key = (pasid, vpn)
@@ -122,16 +123,16 @@ class AtsHandler(MissHandler):
             return
         self._prefetching[key] = now
         self.stats.bump("prefetches")
-        self._send(AtsRequest(pasid=pasid, vpn=vpn,
-                              src_chiplet=self.chiplet_id,
-                              issue_time=now, prefetch=True))
+        self._counters["ats_sent"] += 1
+        self.pcie_up.send(AtsRequest(pasid, vpn, self.chiplet_id, now,
+                                     prefetch=True),
+                          self.deliver_to_iommu)
 
     def deliver_response(self, response: AtsResponse) -> None:
         """An ATS response arrived over PCIe for this chiplet."""
         key = (response.pasid, response.vpn)
-        entry = TlbEntry(pasid=response.pasid, vpn=response.vpn,
-                         global_pfn=response.global_pfn,
-                         coal=response.coal, pec=response.pec)
+        entry = TlbEntry(response.pasid, response.vpn, response.global_pfn,
+                         response.coal, response.pec)
         if response.prefetch:
             self._prefetching.pop(key, None)
             if self.on_prefetch_fill is not None:
@@ -183,7 +184,7 @@ class FBarreHandler(MissHandler):
             if self._trace_on:
                 self.tracer.phase(pasid, vpn, "local_calc")
             latency = FILTER_CHECK_LATENCY + self.l2_probe_latency
-            self.queue.schedule(latency, lambda: done(entry))
+            self.queue.schedule(latency, partial(done, entry))
             return
         peer = self.agent.predict_sharer(pasid, vpn)
         if peer is not None:
@@ -197,30 +198,32 @@ class FBarreHandler(MissHandler):
 
     def _ask_peer(self, peer: int, pasid: int, vpn: int,
                   done: DoneCallback) -> None:
-        def at_peer(_payload: object) -> None:
-            handler = self.peers[peer]
-            if self._trace_on:
-                self.tracer.phase(pasid, vpn, "peer_serve")
-            entry = handler.agent.handle_peer_request(pasid, vpn)
-            self.queue.schedule(
-                PEER_SERVE_LATENCY,
-                lambda: self.mesh.send(peer, self.chiplet_id, entry, back))
+        self.mesh.send(self.chiplet_id, peer, None,
+                       partial(self._at_peer, peer, pasid, vpn, done))
 
-        def back(entry: TlbEntry | None) -> None:
-            if entry is None:
-                self._counters["remote_misses"] += 1
-                if self._trace_on:
-                    self.tracer.phase(pasid, vpn, "peer_miss")
-                self.ats.resolve(pasid, vpn, done)
-                return
-            self._counters["remote_hits"] += 1
-            if self._trace_on:
-                self.tracer.phase(pasid, vpn, "peer_reply")
-            done(TlbEntry(pasid=pasid, vpn=vpn, global_pfn=entry.global_pfn,
-                          coal=entry.coal, pec=entry.pec)
-                 if entry.vpn != vpn else entry)
+    def _at_peer(self, peer: int, pasid: int, vpn: int, done: DoneCallback,
+                 _payload: None) -> None:
+        if self._trace_on:
+            self.tracer.phase(pasid, vpn, "peer_serve")
+        entry = self.peers[peer].agent.handle_peer_request(pasid, vpn)
+        self.queue.schedule(
+            PEER_SERVE_LATENCY,
+            partial(self.mesh.send, peer, self.chiplet_id, entry,
+                    partial(self._peer_back, pasid, vpn, done)))
 
-        self.mesh.send(self.chiplet_id, peer, None, at_peer)
+    def _peer_back(self, pasid: int, vpn: int, done: DoneCallback,
+                   entry: TlbEntry | None) -> None:
+        if entry is None:
+            self._counters["remote_misses"] += 1
+            if self._trace_on:
+                self.tracer.phase(pasid, vpn, "peer_miss")
+            self.ats.resolve(pasid, vpn, done)
+            return
+        self._counters["remote_hits"] += 1
+        if self._trace_on:
+            self.tracer.phase(pasid, vpn, "peer_reply")
+        done(TlbEntry(pasid, vpn, entry.global_pfn, entry.coal, entry.pec)
+             if entry.vpn != vpn else entry)
 
 
 class LeastHandler(MissHandler):
@@ -262,25 +265,28 @@ class LeastHandler(MissHandler):
         self.stats.bump("remote_attempts")
         if self._trace_on:
             self.tracer.phase(pasid, vpn, "peer_request")
+        self.mesh.send(self.chiplet_id, peer, None,
+                       partial(self._at_peer, peer, pasid, vpn, done))
 
-        def at_peer(_payload: object) -> None:
+    def _at_peer(self, peer: int, pasid: int, vpn: int, done: DoneCallback,
+                 _payload: None) -> None:
+        if self._trace_on:
+            self.tracer.phase(pasid, vpn, "peer_serve")
+        entry = self.peer_l2s[peer].probe(pasid, vpn)
+        self.queue.schedule(
+            self.l2_probe_latency,
+            partial(self.mesh.send, peer, self.chiplet_id, entry,
+                    partial(self._peer_back, pasid, vpn, done)))
+
+    def _peer_back(self, pasid: int, vpn: int, done: DoneCallback,
+                   entry: TlbEntry | None) -> None:
+        if entry is None:
+            self.stats.bump("remote_misses")  # evicted in flight
             if self._trace_on:
-                self.tracer.phase(pasid, vpn, "peer_serve")
-            entry = self.peer_l2s[peer].probe(pasid, vpn)
-            self.queue.schedule(
-                self.l2_probe_latency,
-                lambda: self.mesh.send(peer, self.chiplet_id, entry, back))
-
-        def back(entry: TlbEntry | None) -> None:
-            if entry is None:
-                self.stats.bump("remote_misses")  # evicted in flight
-                if self._trace_on:
-                    self.tracer.phase(pasid, vpn, "peer_miss")
-                self.ats.resolve(pasid, vpn, done)
-                return
-            self.stats.bump("remote_hits")
-            if self._trace_on:
-                self.tracer.phase(pasid, vpn, "peer_reply")
-            done(entry)
-
-        self.mesh.send(self.chiplet_id, peer, None, at_peer)
+                self.tracer.phase(pasid, vpn, "peer_miss")
+            self.ats.resolve(pasid, vpn, done)
+            return
+        self.stats.bump("remote_hits")
+        if self._trace_on:
+            self.tracer.phase(pasid, vpn, "peer_reply")
+        done(entry)

@@ -51,10 +51,14 @@ class Gmmu(Iommu):
             self.stats.bump("local_walks")
             return self.config.walk_latency
         self.stats.bump("remote_walks")
-        self.mesh.send(self.chiplet_id, owner, None, lambda _p: None)
-        self.mesh.send(owner, self.chiplet_id, None, lambda _p: None)
+        self.mesh.send(self.chiplet_id, owner, None, _ignore)
+        self.mesh.send(owner, self.chiplet_id, None, _ignore)
         return self.config.walk_latency + 2 * self.mesh.link(
             self.chiplet_id, owner).config.latency
+
+
+def _ignore(_payload: None) -> None:
+    """Delivery of a PTE-fetch packet: its cost is in the walk latency."""
 
 
 class GmmuHandler(MissHandler):
@@ -80,14 +84,12 @@ class GmmuHandler(MissHandler):
         waiters = self._waiting.setdefault(key, [])
         waiters.append(done)
         if len(waiters) == 1:
-            self.gmmu.receive(AtsRequest(pasid=pasid, vpn=vpn,
-                                         src_chiplet=self.chiplet_id,
-                                         issue_time=self.gmmu.queue.now))
+            self.gmmu.receive(AtsRequest(pasid, vpn, self.chiplet_id,
+                                         self.gmmu.queue.now))
 
     def _deliver(self, response: AtsResponse) -> None:
-        entry = TlbEntry(pasid=response.pasid, vpn=response.vpn,
-                         global_pfn=response.global_pfn,
-                         coal=response.coal, pec=response.pec)
+        entry = TlbEntry(response.pasid, response.vpn, response.global_pfn,
+                         response.coal, response.pec)
         for done in self._waiting.pop((response.pasid, response.vpn), []):
             done(entry)
 

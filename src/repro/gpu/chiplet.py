@@ -9,10 +9,15 @@ The translation pipeline (Section II-A):
 
 With the shared-L2 configuration (Fig 6) every chiplet is constructed with
 the *same* L2 TLB and MSHR file, modelling one physical TLB.
+
+Every scheduled hop and every MSHR or miss-handler waiter is a
+``functools.partial`` over a bound method, so a hop costs one call and
+builds no closure.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.common.config import SimConfig
@@ -50,6 +55,7 @@ class Chiplet:
         # Per-access hot-path caches: latencies are config-derived
         # properties and the tracer is fixed at construction.
         self._trace_on = tracer.enabled
+        self._schedule = queue.schedule
         self._l1_latency = config.l1_tlb.lookup_latency
         self._l2_latency = config.l2_tlb.lookup_latency
         self.l1s = [Tlb(config.l1_tlb, name=f"l1.{chiplet_id}.{s}",
@@ -71,32 +77,30 @@ class Chiplet:
     def translate(self, stream_id: int, pasid: int, vpn: int,
                   done: DoneCallback) -> None:
         """Entry point from an access stream."""
-        l1 = self.l1s[stream_id]
-        entry = l1.lookup(pasid, vpn)
-        latency = self._l1_latency
+        entry = self.l1s[stream_id].lookup(pasid, vpn)
         if entry is not None:
-            self.queue.schedule(latency, lambda: done(entry))
+            self._schedule(self._l1_latency, partial(done, entry))
             return
         if pasid in self.dead_pasids:
             # A stalled requester retried after its tenant was torn down;
             # allocating a fresh MSHR slot here would leak it forever.
             return
-        key = (pasid, vpn)
         mshr = self._l1_mshrs[stream_id]
-        status = mshr.allocate(key, lambda e: self._fill_l1(stream_id, e, done))
+        status = mshr.allocate((pasid, vpn),
+                               partial(self._fill_l1, stream_id, done))
         if status == "full":
             if self._trace_on:
                 self.tracer.phase(pasid, vpn, "l1_mshr_stall")
             mshr.wait_for_slot(
-                lambda: self.translate(stream_id, pasid, vpn, done))
+                partial(self.translate, stream_id, pasid, vpn, done))
             return
         if status == "merged":
             return
-        self.queue.schedule(
-            latency, lambda: self._after_l1_miss(stream_id, pasid, vpn))
+        self._schedule(self._l1_latency,
+                       partial(self._after_l1_miss, stream_id, pasid, vpn))
 
-    def _fill_l1(self, stream_id: int, entry: TlbEntry,
-                 done: DoneCallback) -> None:
+    def _fill_l1(self, stream_id: int, done: DoneCallback,
+                 entry: TlbEntry) -> None:
         self.l1s[stream_id].insert(entry)
         done(entry)
 
@@ -112,15 +116,15 @@ class Chiplet:
                     self.stats.bump("valkyrie_l1_hits")
                     if self._trace_on:
                         self.tracer.phase(pasid, vpn, "valkyrie_l1_hit")
-                    self.queue.schedule(
+                    self._schedule(
                         _L1_PROBE_LATENCY,
-                        lambda e=entry: self._release_l1(
-                            stream_id, (pasid, vpn), e))
+                        partial(self._release_l1, stream_id, (pasid, vpn),
+                                entry))
                     return
         if self._trace_on:
             self.tracer.phase(pasid, vpn, "l2_lookup")
-        self.queue.schedule(self._l2_latency,
-                            lambda: self._l2_stage(stream_id, pasid, vpn))
+        self._schedule(self._l2_latency,
+                       partial(self._l2_stage, stream_id, pasid, vpn))
 
     def _release_l1(self, stream_id: int, key: tuple[int, int],
                     entry: TlbEntry) -> None:
@@ -153,17 +157,16 @@ class Chiplet:
             return
         key = (pasid, vpn)
         status = self.l2_mshr.allocate(
-            key, lambda e: self._l1_mshrs[stream_id].release(key, e))
+            key, partial(self._l1_mshrs[stream_id].release, key))
         if status == "full":
             if self._trace_on:
                 self.tracer.phase(pasid, vpn, "l2_mshr_stall")
             self.l2_mshr.wait_for_slot(
-                lambda: self._l2_retry(stream_id, pasid, vpn))
+                partial(self._l2_retry, stream_id, pasid, vpn))
             return
         if status == "merged":
             return
-        self.miss_handler.resolve(pasid, vpn,
-                                  lambda e: self._fill_l2(key, e))
+        self.miss_handler.resolve(pasid, vpn, partial(self._fill_l2, key))
 
     def _fill_l2(self, key: tuple[int, int], entry: TlbEntry) -> None:
         if key[0] in self.dead_pasids:

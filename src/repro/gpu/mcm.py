@@ -461,11 +461,8 @@ class McmGpuSimulator:
         delivers = {cid: handler.deliver_response
                     for cid, handler in self._ats_handlers.items()}
 
-        def deliver(response) -> None:
-            delivers[response.dst_chiplet](response)
-
         def respond(response) -> None:
-            send(response, deliver)
+            send(response, delivers[response.dst_chiplet])
 
         self.iommu.respond = respond
 

@@ -8,6 +8,7 @@ NUMA effect that makes coarse (super-page) mappings lose on hot-page apps
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.common.config import MemoryMap
@@ -37,6 +38,8 @@ class MemoryFabric:
         self._sums = self.stats.sums
         self._obs_counts = self.stats.sample_counts
         self._schedule = queue.schedule
+        #: ``mesh.sends[src][dst]``: the remote path's per-pair link sends.
+        self._sends = mesh.sends
         self._dram_free = [0] * memory_map.num_chiplets
         # Owner lookup runs once per data access.  Chiplet windows are
         # contiguous (MemoryMap.chiplet_bases), so a power-of-two window
@@ -66,21 +69,45 @@ class MemoryFabric:
 
     def access(self, chiplet_id: int, global_pfn: int,
                done: Callable[[], None]) -> None:
-        owner = self.owner_of(global_pfn)
+        """Serve one data access; ``done()`` fires when the data is back.
+
+        The local path is :meth:`owner_of` and :meth:`_serve` inlined; a
+        remote access crosses the mesh to the owner, is served there and
+        returns, one bound-method partial per hop.
+        """
+        shift = self._owner_shift
+        owner = (global_pfn >> shift if shift is not None
+                 else global_pfn // self._frames_per_chiplet)
         if owner == chiplet_id:
             self._counters["local_accesses"] += 1
-            self._serve(owner, done)
+            now = self.queue.now
+            dram_free = self._dram_free
+            start = dram_free[owner]
+            if start < now:
+                start = now
+            dram_free[owner] = start + self.dram_serialization
+            self._sums["dram_queueing"] += start - now
+            self._obs_counts["dram_queueing"] += 1
+            self._schedule(start + self.dram_latency - now, done)
             return
         self._counters["remote_accesses"] += 1
+        self._sends[chiplet_id][owner](
+            None, partial(self._at_owner, owner, chiplet_id, done))
 
-        def at_owner(_payload: object) -> None:
-            self._serve(owner,
-                        lambda: self.mesh.send(owner, chiplet_id, None,
-                                               lambda _p: done()))
+    def _at_owner(self, owner: int, chiplet_id: int,
+                  done: Callable[[], None], _payload: None) -> None:
+        self._serve(owner, partial(self._reply, owner, chiplet_id, done))
 
-        self.mesh.send(chiplet_id, owner, None, at_owner)
+    def _reply(self, owner: int, chiplet_id: int,
+               done: Callable[[], None]) -> None:
+        self._sends[owner][chiplet_id](None, partial(_arrived, done))
 
     def remote_fraction(self) -> float:
         total = (self.stats.count("local_accesses")
                  + self.stats.count("remote_accesses"))
         return self.stats.count("remote_accesses") / total if total else 0.0
+
+
+def _arrived(done: Callable[[], None], _payload: None) -> None:
+    """A data reply's mesh delivery: the access is complete."""
+    done()

@@ -11,6 +11,7 @@ paper's speedups measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from repro.common.events import EventQueue
@@ -106,31 +107,33 @@ class AccessStream:
         self._next_index += 1
         self._outstanding += 1
         self._issue_ready = False
-        issued_at = self.queue.now
         self._counters["issued"] += 1
         span = (self.tracer.begin(self.chiplet_id, self.stream_id,
                                   access.pasid, access.vpn)
                 if self._trace_on else None)
-
-        def translated(entry) -> None:
-            if self._cancelled:
-                return  # no-stale-translation: drop post-teardown replies
-            latency = self.queue.now - issued_at
-            # Inlined latency_hist.add (latency is a nonnegative int here,
-            # so the method-level guards are moot).
-            hist = self.latency_hist
-            hist.buckets[latency.bit_length()] += 1
-            hist.sum += latency
-            if latency > hist.max:
-                hist.max = latency
-            if span is not None:
-                self.tracer.end(span)
-            self._access_data(self.stream_id, access.pasid, access.vpn,
-                              entry.global_pfn, self._complete_cb)
-
-        self._translate(self.stream_id, access.pasid, access.vpn, translated)
+        self._translate(self.stream_id, access.pasid, access.vpn,
+                        partial(self._translated, access, self.queue.now,
+                                span))
         # The compute gap separates issues regardless of completion order.
         self._schedule(access.gap, self._issue_gap_over)
+
+    def _translated(self, access: TraceAccess, issued_at: int, span,
+                    entry) -> None:
+        """The translation of ``access`` arrived: go for its data."""
+        if self._cancelled:
+            return  # no-stale-translation: drop post-teardown replies
+        latency = self.queue.now - issued_at
+        # Inlined latency_hist.add (latency is a nonnegative int here,
+        # so the method-level guards are moot).
+        hist = self.latency_hist
+        hist.buckets[latency.bit_length()] += 1
+        hist.sum += latency
+        if latency > hist.max:
+            hist.max = latency
+        if span is not None:
+            self.tracer.end(span)
+        self._access_data(self.stream_id, access.pasid, access.vpn,
+                          entry.global_pfn, self._complete_cb)
 
     def _issue_gap_over(self) -> None:
         self._issue_ready = True
@@ -144,7 +147,10 @@ class AccessStream:
         if self._completed == self._num_accesses:
             self.finish_time = self.queue.now
             return
-        self._try_issue()
+        # A completion frees a window slot, so only the gap or the end of
+        # the trace can hold the next issue back: call only when neither.
+        if self._issue_ready and self._next_index < self._num_accesses:
+            self._try_issue()
 
     @property
     def drained(self) -> bool:

@@ -31,10 +31,6 @@ class AtsRequest:
     #: these never block real requests in PEC bookkeeping.
     prefetch: bool = False
 
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.pasid, self.vpn)
-
 
 @dataclass(slots=True)
 class AtsResponse:

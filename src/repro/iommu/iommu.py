@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from typing import Callable
 
@@ -61,12 +62,16 @@ class Iommu:
         # with ``stats`` (see StatSet.counters).
         self._trace_on = tracer.enabled
         self._counters = self.stats.counters
+        self._sums = self.stats.sums
+        self._obs_counts = self.stats.sample_counts
+        self._schedule = queue.schedule
         self._tlb_latency = config.tlb_latency
         self._pw_queue_entries = config.pw_queue_entries
         self._coal_sched = (config.coalescing_aware_scheduling
                             and barre_enabled)
         #: Distribution of |VPN gap| between consecutive arrivals (Fig 5).
         self.vpn_gaps = Histogram()
+        self._gap_buckets = self.vpn_gaps.buckets
         self._last_vpn: int | None = None
         self._last_vpn_by_pasid: dict[int, int] = {}
         #: Opt-in per-PASID conservation counters: scenario mode passes one
@@ -84,6 +89,7 @@ class Iommu:
         self.pec = PecLogic(pec_buffer, chiplet_bases,
                             compact_bitmap=compact_bitmap, name="iommu.pec",
                             tracer=tracer)
+        self._compact_bitmap = compact_bitmap
         self._pending: deque[AtsRequest] = deque()
         self._walking: dict[tuple[int, int], _WalkState] = {}
         self._free_ptws = config.num_ptws
@@ -105,38 +111,39 @@ class Iommu:
     def receive(self, request: AtsRequest) -> None:
         """An ATS request arrived over PCIe."""
         self._counters["ats_requests"] += 1
-        if self.pasid_counters is not None:
-            self.pasid_counters[request.pasid]["ats_requests"] += 1
+        pasid_counters = self.pasid_counters
+        if pasid_counters is not None:
+            pasid_counters[request.pasid]["ats_requests"] += 1
         if self._trace_on and not request.prefetch:
             self.tracer.phase(request.pasid, request.vpn, "iommu_receive")
-        if self.pasid_counters is not None:
+        # ``vpn_gaps.add`` inlined: one per request.
+        if pasid_counters is not None:
             last = self._last_vpn_by_pasid.get(request.pasid)
             if last is not None:
-                self.vpn_gaps.add(abs(request.vpn - last))
+                self._gap_buckets[abs(request.vpn - last)] += 1
             self._last_vpn_by_pasid[request.pasid] = request.vpn
         else:
             if self._last_vpn is not None:
-                self.vpn_gaps.add(abs(request.vpn - self._last_vpn))
+                self._gap_buckets[abs(request.vpn - self._last_vpn)] += 1
             self._last_vpn = request.vpn
         self._arrival[id(request)] = self.queue.now
         if self._tlb is not None:
             hit = self._tlb.lookup(request.pasid, request.vpn)
             if hit is not None:
                 self._counters["iommu_tlb_hits"] += 1
-                if self.pasid_counters is not None:
-                    self.pasid_counters[request.pasid]["iommu_tlb_hits"] += 1
-                self.queue.schedule(self._tlb_latency,
-                                    lambda: self._finish(request, hit.global_pfn,
-                                                         hit.coal, "iommu_tlb"))
+                if pasid_counters is not None:
+                    pasid_counters[request.pasid]["iommu_tlb_hits"] += 1
+                self._schedule(self._tlb_latency,
+                               partial(self._finish, request, hit.global_pfn,
+                                       hit.coal, "iommu_tlb"))
                 return
             # Miss costs the TLB lookup before the walk can be queued.
-            self.queue.schedule(self._tlb_latency,
-                                lambda: self._enqueue(request))
+            self._schedule(self._tlb_latency, partial(self._enqueue, request))
             return
         self._enqueue(request)
 
     def _enqueue(self, request: AtsRequest) -> None:
-        walk = self._walking.get(request.key)
+        walk = self._walking.get((request.pasid, request.vpn))
         if walk is not None:
             walk.requests.append(request)  # merge with in-flight walk
             self._counters["walk_merges"] += 1
@@ -158,7 +165,9 @@ class Iommu:
         self._pending.append(request)
         if self._trace_on and not request.prefetch:
             self.tracer.phase(request.pasid, request.vpn, "pw_queue")
-        self.stats.observe("pw_queue_depth", len(self._pending))
+        # ``stats.observe("pw_queue_depth", ...)``, in place.
+        self._sums["pw_queue_depth"] += len(self._pending)
+        self._obs_counts["pw_queue_depth"] += 1
         if len(self._pending) > self._pw_queue_entries:
             self.stats.bump("pw_queue_overflows")
         self._dispatch()
@@ -172,7 +181,8 @@ class Iommu:
                                       self.pec.pec_buffer, tracer=self.tracer)
             else:
                 request = self._pending.popleft()
-            walk = self._walking.get(request.key)
+            key = (request.pasid, request.vpn)
+            walk = self._walking.get(key)
             if walk is not None:
                 walk.requests.append(request)
                 self._counters["walk_merges"] += 1
@@ -190,16 +200,16 @@ class Iommu:
                     self.pasid_counters[request.pasid]["teardown_flushed"] += 1
                 self._arrival.pop(id(request), None)
                 continue
-            self._walking[request.key] = _WalkState(
-                pasid=request.pasid, vpn=request.vpn, requests=[request])
+            self._walking[key] = _WalkState(request.pasid, request.vpn,
+                                            [request])
             self._free_ptws -= 1
             self._counters["walks"] += 1
             if self.pasid_counters is not None:
                 self.pasid_counters[request.pasid]["walks"] += 1
             if self._trace_on and not request.prefetch:
                 self.tracer.phase(request.pasid, request.vpn, "walk")
-            self.queue.schedule(self._walk_latency(request),
-                                lambda key=request.key: self._walk_done(key))
+            self._schedule(self._walk_latency(request),
+                           partial(self._walk_done, key))
 
     def _walk_latency(self, request: AtsRequest) -> int:
         """Walk duration; subclasses (GMMU) add remote-walk penalties."""
@@ -230,19 +240,17 @@ class Iommu:
             if self._trace_on:
                 self.tracer.phase(walk.pasid, walk.vpn, "page_fault")
             latency = self.fault_handler(walk.pasid, walk.vpn)
-            self.queue.schedule(latency, lambda: self._walk_done(key))
+            self._schedule(latency, partial(self._walk_done, key))
             return
         del self._walking[key]
         self._free_ptws += 1
         fields = table.walk(walk.vpn)
         if self._tlb is not None:
-            self._tlb.insert(TlbEntry(pasid=walk.pasid, vpn=walk.vpn,
-                                      global_pfn=fields.global_pfn,
-                                      coal=fields))
+            self._tlb.insert(TlbEntry(walk.pasid, walk.vpn, fields.global_pfn,
+                                      fields))
         for request in walk.requests:
             self._finish(request, fields.global_pfn, fields, "walk")
-        if self.barre_enabled and \
-                fields.coalesced_under(self.pec.compact_bitmap):
+        if self.barre_enabled and fields.coalesced_under(self._compact_bitmap):
             self._coalesce_pending(walk, fields)
         self._dispatch()
 
@@ -298,8 +306,8 @@ class Iommu:
             if self.pasid_counters is not None:
                 self.pasid_counters[request.pasid]["pec_coalesced"] += 1
             if self._tlb is not None:
-                self._tlb.insert(TlbEntry(pasid=request.pasid, vpn=request.vpn,
-                                          global_pfn=pfn, coal=own))
+                self._tlb.insert(TlbEntry(request.pasid, request.vpn, pfn,
+                                          own))
             self._finish(request, pfn, own, "pec")
         if rejected:
             self.pec.stats.bump("rejections", rejected)
@@ -310,20 +318,21 @@ class Iommu:
 
     def _finish(self, request: AtsRequest, global_pfn: int, fields,
                 source: str) -> None:
-        arrival = self._arrival.pop(id(request), self.queue.now)
-        self.stats.observe("processing_time", self.queue.now - arrival)
+        now = self.queue.now
+        # ``stats.observe("processing_time", ...)``, in place.
+        self._sums["processing_time"] += now - self._arrival.pop(id(request),
+                                                                 now)
+        self._obs_counts["processing_time"] += 1
         if self._trace_on and not request.prefetch:
             self.tracer.phase(request.pasid, request.vpn, "reply")
-        coal = fields if (fields is not None and fields.coalesced_under(
-            self.pec.compact_bitmap)) else None
-        desc = None
-        if coal is not None:
+        coal = desc = None
+        if fields is not None and fields.coalesced_under(self._compact_bitmap):
+            coal = fields
             desc = self.pec.descriptor_for(request.pasid, request.vpn)
         self._counters["ats_responses"] += 1
-        self.respond(AtsResponse(
-            pasid=request.pasid, vpn=request.vpn, global_pfn=global_pfn,
-            dst_chiplet=request.src_chiplet, source=source, coal=coal,
-            pec=desc, prefetch=request.prefetch))
+        self.respond(AtsResponse(request.pasid, request.vpn, global_pfn,
+                                 request.src_chiplet, source, coal, desc,
+                                 request.prefetch))
 
     # -- teardown ---------------------------------------------------------------
 

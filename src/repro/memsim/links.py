@@ -36,6 +36,7 @@ class Link:
         self._counters = self.stats.counters
         self._sums = self.stats.sums
         self._samples = self.stats.sample_counts
+        self._schedule = queue.schedule
 
     def send(self, payload: Any, deliver: Callable[[Any], None],
              packets: int = 1) -> int:
@@ -45,8 +46,7 @@ class Link:
         (e.g. F-Barre's per-sibling filter updates) as one event.  Returns
         the delivery cycle (useful for tests).
         """
-        queue = self.queue
-        now = queue.now
+        now = self.queue.now
         if self.oracle:
             arrival = now + self._latency
         else:
@@ -59,7 +59,7 @@ class Link:
             self._samples["queueing"] += 1
             arrival = depart + self._latency
         self._counters["packets"] += packets
-        queue.schedule(arrival - now, partial(deliver, payload))
+        self._schedule(arrival - now, partial(deliver, payload))
         return arrival
 
     def occupy(self, cycles: int) -> None:
@@ -109,6 +109,13 @@ class Mesh:
                 if src != dst:
                     self._links[(src, dst)] = Link(
                         queue, config, name=f"mesh.{src}->{dst}", oracle=oracle)
+        #: ``sends[src][dst]`` is that pair's bound ``Link.send`` (None on
+        #: the diagonal): per-packet callers index it instead of hashing a
+        #: ``(src, dst)`` tuple.
+        self.sends: list[list[Callable[..., int] | None]] = [
+            [self._links[(src, dst)].send if src != dst else None
+             for dst in range(num_chiplets)]
+            for src in range(num_chiplets)]
 
     def send(self, src: int, dst: int, payload: Any,
              deliver: Callable[[Any], None], packets: int = 1) -> int:

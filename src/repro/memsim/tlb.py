@@ -11,8 +11,8 @@ sibling PFNs from a TLB entry.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections import OrderedDict, deque
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.common.config import TlbConfig
@@ -220,11 +220,6 @@ class Tlb:
         return [e for s in self._sets for e in s.values()]
 
 
-@dataclass(slots=True)
-class _MshrSlot:
-    waiters: list[Callable[[Any], None]] = field(default_factory=list)
-
-
 class MshrFile:
     """Miss-status holding registers: merge outstanding misses per key.
 
@@ -235,6 +230,8 @@ class MshrFile:
     * ``"full"``   — no free MSHR; the caller must stall (register with
       :meth:`wait_for_slot` — this backpressure is what Fig 4's MSHR sweep
       exercises).
+
+    A slot is the list of its waiters; stalled requesters wait in a FIFO.
     """
 
     def __init__(self, capacity: int, name: str = "mshr") -> None:
@@ -243,19 +240,19 @@ class MshrFile:
         # Live view of the counter bag: the hot paths increment it inline
         # (same Counter object the StatSet reports, so readouts stay exact).
         self._counters = self.stats.counters
-        self._slots: dict[Any, _MshrSlot] = {}
-        self._slot_waiters: list[Callable[[], None]] = []
+        self._slots: dict[Any, list[Callable[[Any], None]]] = {}
+        self._slot_waiters: deque[Callable[[], None]] = deque()
 
     def allocate(self, key: Any, callback: Callable[[Any], None]) -> str:
-        slot = self._slots.get(key)
-        if slot is not None:
-            slot.waiters.append(callback)
+        waiters = self._slots.get(key)
+        if waiters is not None:
+            waiters.append(callback)
             self._counters["merged"] += 1
             return "merged"
         if len(self._slots) >= self.capacity:
             self._counters["stalls"] += 1
             return "full"
-        self._slots[key] = _MshrSlot(waiters=[callback])
+        self._slots[key] = [callback]
         self._counters["allocated"] += 1
         return "primary"
 
@@ -270,11 +267,12 @@ class MshrFile:
         requester that no longer needs a slot (its line was filled in the
         meantime) must not strand the ones behind it.
         """
-        slot = self._slots.pop(key)
-        for waiter in slot.waiters:
+        slots = self._slots
+        for waiter in slots.pop(key):
             waiter(result)
-        while self._slot_waiters and len(self._slots) < self.capacity:
-            self._slot_waiters.pop(0)()
+        stalled = self._slot_waiters
+        while stalled and len(slots) < self.capacity:
+            stalled.popleft()()
 
     def drop_pasid(self, pasid: int) -> int:
         """Discard outstanding misses of a destroyed address space.
@@ -290,7 +288,7 @@ class MshrFile:
         if dead:
             self._counters["teardown_drops"] += len(dead)
         while self._slot_waiters and len(self._slots) < self.capacity:
-            self._slot_waiters.pop(0)()
+            self._slot_waiters.popleft()()
         return len(dead)
 
     def outstanding(self) -> int:

@@ -273,3 +273,50 @@ def test_events_fired_flushed_when_callback_raises():
     with pytest.raises(RuntimeError):
         q.run()
     assert q.events_fired == 2
+
+
+def test_cancel_later_event_of_the_cycle_being_drained():
+    """A callback cancels an event due in its own cycle: it never fires.
+
+    The fast loop detaches a cycle's bucket before draining it, so the
+    cancel cannot find the entry in the wheel; it must still be skipped.
+    """
+    for instrumented in (False, True):
+        q = EventQueue()
+        fired = []
+        handles = {}
+
+        def first():
+            fired.append("first")
+            assert q.cancel(handles["second"]) is True
+
+        q.schedule(4, first)
+        handles["second"] = q.schedule(4, lambda: fired.append("second"))
+        q.schedule(4, lambda: fired.append("third"))
+        if instrumented:
+            q.on_step = lambda: None
+        q.run()
+        assert fired == ["first", "third"]
+        assert q.events_fired == 2
+        assert q.pending == 0
+
+
+def test_raising_callback_keeps_the_rest_of_its_cycle():
+    q = EventQueue()
+    fired = []
+
+    def boom():
+        fired.append("boom")
+        raise RuntimeError("handler exploded")
+
+    q.schedule(3, boom)
+    q.schedule(3, lambda: fired.append("after"))
+    q.schedule(5, lambda: fired.append("later"))
+    with pytest.raises(RuntimeError):
+        q.run()
+    assert q.events_fired == 1
+    assert q.pending == 2
+    q.run()
+    assert fired == ["boom", "after", "later"]
+    assert q.events_fired == 3
+    assert q.pending == 0

@@ -15,6 +15,12 @@ the artifacts that together pin the simulator's observable behavior:
   (teardowns, dead PASIDs, per-PASID counters), which the cache payload
   leaves out.
 
+Each point also runs untraced, the fast path every sweep and benchmark
+times, and once more through the kernel's instrumented loop: both must
+serialize to the golden cache payload and fire exactly the pinned number
+of events, ending at the pinned cycle (:data:`EVENT_PINS`), so an added,
+dropped or re-timed event fails even where the stats happen to agree.
+
 The goldens under ``tests/golden/`` were captured before the hot-path
 optimization work and must survive it unchanged: any drift — a different
 event order, a changed latency, a reordered dict — fails here with the
@@ -80,6 +86,29 @@ POINTS: dict[str, tuple] = {
     # per-PASID gap histograms of the IOMMU and of the GMMUs.
     "fbarre-churn-min": (configs.fbarre, (), "churn-min"),
     "mgvm-churn-min": (configs.mgvm, (), "churn-min"),
+}
+
+
+#: ``(queue.events_fired, queue.now)`` at the end of each point's run,
+#: captured before the access path was flattened into bound-method
+#: partials.  The count and the final cycle are the same traced or not.
+EVENT_PINS: dict[str, tuple[int, int]] = {
+    "barre-gemv": (7732, 5987),
+    "baseline-gemv": (7739, 7479),
+    "fbarre-16c-gemv": (14957, 4080),
+    "fbarre-churn-min": (1011, 1864),
+    "fbarre-fft": (17814, 14244),
+    "fbarre-gemv": (8809, 4247),
+    "fbarre-migration-gemv": (8809, 4247),
+    "fbarre-ondemand-gemv": (8487, 18955),
+    "fbarre-oracle-sharing-gemv": (8809, 4247),
+    "iommu-tlb-gemv": (7972, 6713),
+    "least-gemv": (7740, 6513),
+    "mgvm-churn-min": (947, 1769),
+    "mgvm-gemv": (7411, 8573),
+    "mgvm-ondemand-gemv": (7586, 72187),
+    "shared-l2-gemv": (7614, 6461),
+    "valkyrie-gemv": (7842, 7481),
 }
 
 
@@ -170,6 +199,44 @@ def test_golden_run(name: str, tmp_path: Path) -> None:
     assert actual["cache_payload_sha256"] == golden["cache_payload_sha256"], (
         f"{name}: cache payload bytes drifted (stats compare equal but "
         f"serialize differently — key order or float formatting changed)")
+
+
+def _untraced_run(name: str, *, instrumented: bool) -> tuple[str, int, int]:
+    """Cache payload sha256, events fired and final cycle of an untraced
+    run, through the kernel's fast loop or, with a no-op ``on_step`` hook,
+    through its instrumented ``step()`` loop."""
+    factory, args, app = POINTS[name]
+    scale = SCENARIO_SCALE if app in NAMED_SCENARIOS else SCALE
+    sim = McmGpuSimulator(factory(*args), [_workload(app)],
+                          trace_scale=scale)
+    if instrumented:
+        sim.queue.on_step = lambda: None
+    payload = json.dumps(_serialize(sim.run()))
+    return (hashlib.sha256(payload.encode()).hexdigest(),
+            sim.queue.events_fired, sim.queue.now)
+
+
+@pytest.mark.parametrize("name", sorted(POINTS))
+def test_untraced_run_matches_golden(name: str) -> None:
+    """The untraced fast path serializes to the traced golden's bytes and
+    fires the pinned events, ending at the pinned cycle."""
+    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    sha, fired, now = _untraced_run(name, instrumented=False)
+    assert sha == golden["cache_payload_sha256"], (
+        f"{name}: the untraced run's cache payload differs from the golden")
+    assert (fired, now) == EVENT_PINS[name], (
+        f"{name}: (events_fired, final cycle) drifted "
+        f"{EVENT_PINS[name]} -> {(fired, now)}")
+
+
+@pytest.mark.parametrize("name", sorted(POINTS))
+def test_instrumented_loop_matches_fast_loop(name: str) -> None:
+    """``step()`` (taken when ``on_step`` is set) and ``_run_fast`` fire the
+    same events: same payload bytes, same count, same final cycle."""
+    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    sha, fired, now = _untraced_run(name, instrumented=True)
+    assert sha == golden["cache_payload_sha256"]
+    assert (fired, now) == EVENT_PINS[name]
 
 
 def test_point_keys_are_pinned() -> None:

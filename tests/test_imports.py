@@ -65,6 +65,21 @@ print(json.dumps({{
 }}))
 """
 
+#: Harness modules a one-point cache read must not load.
+HARNESS_MODULES = ("repro.experiments.figures", "repro.experiments.ablations",
+                   "repro.experiments.registry", "repro.experiments.sweep")
+
+_READ_ONE = """
+import json, os, sys
+os.environ["REPRO_CACHE_DIR"] = {filled!r}
+from repro.experiments import configs, runner
+result = runner.cached_result(configs.baseline(), "gemv", scale=0.05)
+print(json.dumps({{
+    "cycles": None if result is None else result.cycles,
+    "loaded": sorted(m for m in {forbidden!r} if m in sys.modules),
+}}))
+"""
+
 _MCM_ALONE = """
 import json, sys
 import repro.gpu.mcm as mcm
@@ -100,6 +115,35 @@ def test_plan_cache_read_and_help_load_no_simulator(tmp_path: Path,
     assert out["unique"] > 100
     assert out["cycles"] == stored.cycles
     assert not list(empty.rglob("*.json")), "the dry run wrote a result"
+
+
+def test_one_point_read_loads_no_figure_or_sweep_module(tmp_path: Path,
+                                                       monkeypatch) -> None:
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    stored = runner.fill(SweepPoint(configs.baseline(), "gemv", 0.05))
+
+    out = _fresh(_READ_ONE.format(filled=str(tmp_path),
+                                  forbidden=HARNESS_MODULES))
+
+    assert out == {"cycles": stored.cycles, "loaded": []}
+
+
+def test_experiments_exports_resolve_lazily() -> None:
+    import repro.experiments as experiments
+    from repro.experiments import registry, report, runner as runner_mod
+    from repro.experiments.sweep import SweepOutcome, collect_points
+
+    assert experiments.FIGURES is registry.FIGURES
+    assert experiments.format_series_table is report.format_series_table
+    assert experiments.cached_result is runner_mod.cached_result
+    assert experiments.SweepOutcome is SweepOutcome
+    assert experiments.collect_points is collect_points
+    assert experiments.sweep is importlib.import_module(
+        "repro.experiments.sweep")
+    for name in experiments.__all__:
+        assert getattr(experiments, name) is not None
+    with pytest.raises(AttributeError, match="no_such_name"):
+        experiments.no_such_name  # noqa: B018
 
 
 def test_simulator_module_loads_numpy_only_when_a_simulator_is_built() -> None:

@@ -74,6 +74,18 @@ def test_mesh_rejects_self_send():
         mesh.send(1, 1, "x", lambda p: None)
 
 
+def test_mesh_send_table_holds_each_pairs_link():
+    q = EventQueue()
+    mesh = Mesh(q, LinkConfig(latency=32), num_chiplets=3)
+    for src in range(3):
+        for dst in range(3):
+            send = mesh.sends[src][dst]
+            if src == dst:
+                assert send is None
+            else:
+                assert send.__self__ is mesh.link(src, dst)
+
+
 def test_mesh_pairs_have_independent_bandwidth():
     q = EventQueue()
     mesh = Mesh(q, LinkConfig(latency=10, cycles_per_packet=100), num_chiplets=3)

@@ -3,8 +3,9 @@
 ``McmGpuSimulator.run`` ends by releasing the links ``_build`` wired that
 close reference cycles (agent routes and L2 hooks, F-Barre peer tables,
 the IOMMU/GMMU response routes, Valkyrie's prefetch fill, each stream's
-completion callback), and builds every other callback as a closure over
-the part it needs, never over the simulator.  So once its last name goes,
+completion callback).  Per-access callbacks are partials that live until
+their event fires, and the few routes built at construction close over
+the part they need, never over the simulator.  So once its last name goes,
 nothing is left for the cyclic collector.  Runs with the invariant
 checker are out of scope (DESIGN.md): its wrappers close over the
 simulator.  The cyclic collector is paused while a simulator builds and
