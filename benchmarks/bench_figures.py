@@ -9,8 +9,9 @@ qualitative shape (who wins, roughly by how much).
 
 One figure: ``pytest benchmarks/bench_figures.py --benchmark-only -k
 fig15``.  Worker count comes from ``REPRO_JOBS`` (default: all cores);
-tune runtime with ``REPRO_BENCH_SCALE`` (default 0.4; larger = slower but
-less noisy) and clear ``.bench_cache`` to force re-simulation.
+tune runtime with ``REPRO_BENCH_SCALE`` (default 0.3, the scale
+``results/`` is committed at; larger = slower but less noisy) and clear
+``.bench_cache`` to force re-simulation.
 """
 
 from __future__ import annotations

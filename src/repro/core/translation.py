@@ -6,6 +6,7 @@ concrete handlers implement the paper's design points:
 
 * :class:`AtsHandler` — baseline and Barre: every miss crosses PCIe to the
   IOMMU (Barre's coalescing happens inside the IOMMU).
+* :class:`PeerHandler` — the peer round trip F-Barre and Least share.
 * :class:`FBarreHandler` — tries intra-MCM translation first: local
   coalesced calculation, then RCF-predicted peer calculation, then ATS.
 * :class:`LeastHandler` — MICRO'21-style inter-chiplet exact-entry TLB
@@ -27,7 +28,7 @@ from repro.common.trace import NULL_TRACER
 from repro.core.fbarre import CoalescingAgent
 from repro.iommu.ats import AtsRequest, AtsResponse
 from repro.memsim.links import Link, Mesh
-from repro.memsim.tlb import Tlb, TlbEntry
+from repro.memsim.tlb import TlbEntry
 
 #: Cycles for a filter (LCF/RCF) check — tiny next to a TLB access
 #: (Section V-A1 measures 1.7% of TLB power; we charge one cycle).
@@ -98,8 +99,7 @@ class AtsHandler(MissHandler):
             if self._trace_on:
                 self.tracer.phase(pasid, vpn, "ats_send")
             self._counters["ats_sent"] += 1
-            self.pcie_up.send(AtsRequest(pasid, vpn, self.chiplet_id,
-                                         self.queue.now),
+            self.pcie_up.send(AtsRequest(pasid, vpn, self.chiplet_id),
                               self.deliver_to_iommu)
         else:
             waiters.append(done)
@@ -124,7 +124,7 @@ class AtsHandler(MissHandler):
         self._prefetching[key] = now
         self.stats.bump("prefetches")
         self._counters["ats_sent"] += 1
-        self.pcie_up.send(AtsRequest(pasid, vpn, self.chiplet_id, now,
+        self.pcie_up.send(AtsRequest(pasid, vpn, self.chiplet_id,
                                      prefetch=True),
                           self.deliver_to_iommu)
 
@@ -158,46 +158,37 @@ class AtsHandler(MissHandler):
         return len(dead)
 
 
-class FBarreHandler(MissHandler):
-    """Intra-MCM translation first (Fig 11), ATS as the fallback."""
+class PeerHandler(MissHandler):
+    """A miss handler that can resolve a miss at a peer chiplet.
 
-    def __init__(self, queue: EventQueue, chiplet_id: int,
-                 agent: CoalescingAgent, mesh: Mesh, ats: AtsHandler,
-                 l2_probe_latency: int, *, tracer=NULL_TRACER) -> None:
+    One mesh round trip: the request crosses to the peer, the peer's serve
+    function answers after ``serve_latency`` cycles, and the reply crosses
+    back; a peer that cannot answer falls back to ATS.  F-Barre's
+    coalescing request (Figs 11-12) and Least's exact-entry probe share
+    this path and differ only in how a peer serves.
+    """
+
+    def __init__(self, queue: EventQueue, chiplet_id: int, mesh: Mesh,
+                 ats: AtsHandler, serve_latency: int, stats_name: str, *,
+                 tracer=NULL_TRACER) -> None:
         self.queue = queue
         self.chiplet_id = chiplet_id
-        self.agent = agent
         self.mesh = mesh
         self.ats = ats
-        self.l2_probe_latency = l2_probe_latency
+        self.serve_latency = serve_latency
         self.tracer = tracer
         self._trace_on = tracer.enabled
-        self.stats = StatSet(f"fbarre_handler.{chiplet_id}")
+        self.stats = StatSet(stats_name)
         self._counters = self.stats.counters
-        #: Peer agents, wired by the MCM after all chiplets exist.
-        self.peers: dict[int, "FBarreHandler"] = {}
-
-    def resolve(self, pasid: int, vpn: int, done: DoneCallback) -> None:
-        entry = self.agent.try_local(pasid, vpn)
-        if entry is not None:
-            self._counters["local_hits"] += 1
-            if self._trace_on:
-                self.tracer.phase(pasid, vpn, "local_calc")
-            latency = FILTER_CHECK_LATENCY + self.l2_probe_latency
-            self.queue.schedule(latency, partial(done, entry))
-            return
-        peer = self.agent.predict_sharer(pasid, vpn)
-        if peer is not None:
-            self._counters["remote_attempts"] += 1
-            if self._trace_on:
-                self.tracer.phase(pasid, vpn, "peer_request")
-            self._ask_peer(peer, pasid, vpn, done)
-            return
-        self._counters["ats_fallbacks"] += 1
-        self.ats.resolve(pasid, vpn, done)
+        #: Peer chiplet id -> its ``serve(pasid, vpn) -> TlbEntry | None``,
+        #: wired by the MCM after all chiplets exist.
+        self.peers: dict[int, Callable[[int, int], TlbEntry | None]] = {}
 
     def _ask_peer(self, peer: int, pasid: int, vpn: int,
                   done: DoneCallback) -> None:
+        self._counters["remote_attempts"] += 1
+        if self._trace_on:
+            self.tracer.phase(pasid, vpn, "peer_request")
         self.mesh.send(self.chiplet_id, peer, None,
                        partial(self._at_peer, peer, pasid, vpn, done))
 
@@ -205,9 +196,9 @@ class FBarreHandler(MissHandler):
                  _payload: None) -> None:
         if self._trace_on:
             self.tracer.phase(pasid, vpn, "peer_serve")
-        entry = self.peers[peer].agent.handle_peer_request(pasid, vpn)
+        entry = self.peers[peer](pasid, vpn)
         self.queue.schedule(
-            PEER_SERVE_LATENCY,
+            self.serve_latency,
             partial(self.mesh.send, peer, self.chiplet_id, entry,
                     partial(self._peer_back, pasid, vpn, done)))
 
@@ -222,71 +213,61 @@ class FBarreHandler(MissHandler):
         self._counters["remote_hits"] += 1
         if self._trace_on:
             self.tracer.phase(pasid, vpn, "peer_reply")
-        done(TlbEntry(pasid, vpn, entry.global_pfn, entry.coal, entry.pec)
-             if entry.vpn != vpn else entry)
+        done(entry)
 
 
-class LeastHandler(MissHandler):
+class FBarreHandler(PeerHandler):
+    """Intra-MCM translation first (Fig 11), ATS as the fallback.
+
+    A peer serves with its agent's ``handle_peer_request`` (Fig 12).
+    """
+
+    def __init__(self, queue: EventQueue, chiplet_id: int,
+                 agent: CoalescingAgent, mesh: Mesh, ats: AtsHandler,
+                 l2_probe_latency: int, *, tracer=NULL_TRACER) -> None:
+        super().__init__(queue, chiplet_id, mesh, ats, PEER_SERVE_LATENCY,
+                         f"fbarre_handler.{chiplet_id}", tracer=tracer)
+        self.agent = agent
+        self.l2_probe_latency = l2_probe_latency
+
+    def resolve(self, pasid: int, vpn: int, done: DoneCallback) -> None:
+        entry = self.agent.try_local(pasid, vpn)
+        if entry is not None:
+            self._counters["local_hits"] += 1
+            if self._trace_on:
+                self.tracer.phase(pasid, vpn, "local_calc")
+            latency = FILTER_CHECK_LATENCY + self.l2_probe_latency
+            self.queue.schedule(latency, partial(done, entry))
+            return
+        peer = self.agent.predict_sharer(pasid, vpn)
+        if peer is not None:
+            self._ask_peer(peer, pasid, vpn, done)
+            return
+        self._counters["ats_fallbacks"] += 1
+        self.ats.resolve(pasid, vpn, done)
+
+
+class LeastHandler(PeerHandler):
     """Inter-chiplet exact TLB sharing (Least [27]) with an ideal tracker.
 
     The paper implements Least with "an ideal 1024-entry cuckoo filter (100%
     true positive) as the local TLB tracker"; we model the ideal tracker by
     consulting peer L2 contents directly (zero false positives/negatives)
-    while still paying the mesh round trip and probe latency.
+    while still paying the mesh round trip and probe latency.  A peer
+    serves with its L2's ``probe``, which is also the tracker's view.
     """
 
     def __init__(self, queue: EventQueue, chiplet_id: int, mesh: Mesh,
                  ats: AtsHandler, l2_probe_latency: int, *,
                  tracer=NULL_TRACER) -> None:
-        self.queue = queue
-        self.chiplet_id = chiplet_id
-        self.mesh = mesh
-        self.ats = ats
-        self.l2_probe_latency = l2_probe_latency
-        self.tracer = tracer
-        self._trace_on = tracer.enabled
-        self.stats = StatSet(f"least.{chiplet_id}")
-        #: Peer chiplet id -> that chiplet's L2 TLB (ideal tracker view).
-        self.peer_l2s: dict[int, Tlb] = {}
-
-    def _predict(self, pasid: int, vpn: int) -> int | None:
-        for peer in sorted(self.peer_l2s):
-            l2 = self.peer_l2s[peer]
-            if l2.probe(pasid, vpn) is not None:
-                return peer
-        return None
+        super().__init__(queue, chiplet_id, mesh, ats, l2_probe_latency,
+                         f"least.{chiplet_id}", tracer=tracer)
 
     def resolve(self, pasid: int, vpn: int, done: DoneCallback) -> None:
-        peer = self._predict(pasid, vpn)
-        if peer is None:
-            self.stats.bump("ats_fallbacks")
-            self.ats.resolve(pasid, vpn, done)
-            return
-        self.stats.bump("remote_attempts")
-        if self._trace_on:
-            self.tracer.phase(pasid, vpn, "peer_request")
-        self.mesh.send(self.chiplet_id, peer, None,
-                       partial(self._at_peer, peer, pasid, vpn, done))
-
-    def _at_peer(self, peer: int, pasid: int, vpn: int, done: DoneCallback,
-                 _payload: None) -> None:
-        if self._trace_on:
-            self.tracer.phase(pasid, vpn, "peer_serve")
-        entry = self.peer_l2s[peer].probe(pasid, vpn)
-        self.queue.schedule(
-            self.l2_probe_latency,
-            partial(self.mesh.send, peer, self.chiplet_id, entry,
-                    partial(self._peer_back, pasid, vpn, done)))
-
-    def _peer_back(self, pasid: int, vpn: int, done: DoneCallback,
-                   entry: TlbEntry | None) -> None:
-        if entry is None:
-            self.stats.bump("remote_misses")  # evicted in flight
-            if self._trace_on:
-                self.tracer.phase(pasid, vpn, "peer_miss")
-            self.ats.resolve(pasid, vpn, done)
-            return
-        self.stats.bump("remote_hits")
-        if self._trace_on:
-            self.tracer.phase(pasid, vpn, "peer_reply")
-        done(entry)
+        peers = self.peers
+        for peer in sorted(peers):
+            if peers[peer](pasid, vpn) is not None:
+                self._ask_peer(peer, pasid, vpn, done)
+                return
+        self._counters["ats_fallbacks"] += 1
+        self.ats.resolve(pasid, vpn, done)

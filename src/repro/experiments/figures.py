@@ -803,44 +803,6 @@ def check_ext_ondemand(out):
     assert all(v > 1.5 for v in out["pages_per_fault"].values())
 
 
-#: Pinned scenario timelines the multi-tenant figure replays, lightest
-#: first (see ``repro.scenarios.named``).
-CHURN_SCENARIOS = ["churn-min", "churn-small", "multi-tenant"]
-
-
-def ext_multitenant_churn(scenarios=None, scale=None):
-    """Multi-tenant extension: translation schemes under PASID churn.
-
-    Replays the pinned named scenarios — tenant arrivals, mid-run address
-    space teardowns, aged allocators — under the baseline, Barre, and
-    F-Barre configurations.  Churn shrinks translation reuse windows and
-    forces teardown invalidations while walks are in flight, so this
-    probes how much of the schemes' single-app win survives multi-tenant
-    pressure.  ``"apps"`` holds the scenario names (the table's columns).
-    """
-    from repro.scenarios import ScenarioWorkload, named_scenario
-    scenarios = CHURN_SCENARIOS if scenarios is None else list(scenarios)
-    series = {"Barre": {}, "F-Barre": {}}
-    for name in scenarios:
-        workload = ScenarioWorkload.from_scenario(named_scenario(name))
-        base = run_point(configs.baseline(), workload, scale)
-        series["Barre"][name] = run_point(
-            configs.barre(), workload, scale).speedup_over(base)
-        series["F-Barre"][name] = run_point(
-            configs.fbarre(), workload, scale).speedup_over(base)
-    return {"apps": scenarios, "series": series,
-            "means": {label: geomean(list(vals.values()))
-                      for label, vals in series.items()}}
-
-
-render_ext_churn = series_text(
-    "Extension: speedup over baseline under multi-tenant churn")
-
-
-def check_ext_churn(out):
-    """No shape to hold: the paper has no multi-tenant experiment."""
-
-
 def overhead_area(scale=None):
     """Section VII-K: filters + PEC buffer vs. a GPU L2 TLB.
 

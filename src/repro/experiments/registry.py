@@ -105,9 +105,6 @@ FIGURES = {
                            "Extension — on-demand paging (Section VI)",
                            figures.render_ext_ondemand,
                            figures.check_ext_ondemand),
-    "ext-churn": Figure(figures.ext_multitenant_churn,
-                        "Extension — multi-tenant PASID churn",
-                        figures.render_ext_churn, figures.check_ext_churn),
     "ablation-pw-queue": Figure(ablations.pw_queue_depth,
                                 "Ablation — PW-queue depth",
                                 ablations.render_pw_queue,

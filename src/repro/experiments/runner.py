@@ -24,8 +24,8 @@ The cache is safe under concurrent fill (the parallel sweep engine in
 
 Environment knobs (see docs/performance.md for the operations guide):
 
-* ``REPRO_BENCH_SCALE`` — trace-scale multiplier (default 0.4); larger is
-  slower but less noisy.
+* ``REPRO_BENCH_SCALE`` — trace-scale multiplier (default 0.3, the
+  scale ``results/`` is committed at); larger is slower but less noisy.
 * ``REPRO_CACHE_DIR`` — cache location (default ``<repo>/.bench_cache``).
 * ``REPRO_NO_CACHE=1`` — disable the cache entirely.
 """
@@ -76,7 +76,7 @@ _KEYS_SIDECAR = Path("meta") / "keys"
 
 def bench_scale() -> float:
     """Trace scale used by the benchmark harness."""
-    return float(os.environ.get("REPRO_BENCH_SCALE", "0.4"))
+    return float(os.environ.get("REPRO_BENCH_SCALE", "0.3"))
 
 
 #: The cache root when ``REPRO_CACHE_DIR`` is unset, resolved once: a
@@ -127,7 +127,7 @@ def encode_config(value):
 
 
 #: ``repr(config) -> canonical config JSON``.  A sweep plan keys the
-#: paper's 1,136 points, which share a few dozen configs, so each JSON is
+#: paper's 1,127 points, which share a few dozen configs, so each JSON is
 #: built once.  The key is ``repr``, not the config: equal configs can
 #: encode differently (``dram_latency=100 == 100.0``), and two configs
 #: with one repr have the same field values and types, hence one JSON.

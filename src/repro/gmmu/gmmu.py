@@ -84,8 +84,7 @@ class GmmuHandler(MissHandler):
         waiters = self._waiting.setdefault(key, [])
         waiters.append(done)
         if len(waiters) == 1:
-            self.gmmu.receive(AtsRequest(pasid, vpn, self.chiplet_id,
-                                         self.gmmu.queue.now))
+            self.gmmu.receive(AtsRequest(pasid, vpn, self.chiplet_id))
 
     def _deliver(self, response: AtsResponse) -> None:
         entry = TlbEntry(response.pasid, response.vpn, response.global_pfn,

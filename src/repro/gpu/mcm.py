@@ -25,7 +25,12 @@ from repro.common.result import SimResult
 from repro.common.stats import Histogram, LatencyHistogram
 from repro.common.trace import NULL_TRACER, RecordingTracer
 from repro.core.fbarre import CoalescingAgent
-from repro.core.translation import AtsHandler, FBarreHandler, LeastHandler
+from repro.core.translation import (
+    AtsHandler,
+    FBarreHandler,
+    LeastHandler,
+    PeerHandler,
+)
 from repro.gmmu.gmmu import Gmmu, GmmuHandler
 from repro.gpu.chiplet import Chiplet
 from repro.gpu.memory import MemoryFabric
@@ -222,7 +227,6 @@ class McmGpuSimulator:
 
     def __init__(self, config: SimConfig, workloads: Sequence[Workload],
                  trace_scale: float = 1.0,
-                 verify_translations: bool = False,
                  trace: bool = False,
                  check_invariants: bool = False) -> None:
         if not workloads:
@@ -244,12 +248,6 @@ class McmGpuSimulator:
         self.config = config
         self.workloads = list(workloads)
         self.trace_scale = trace_scale
-        #: Check every delivered PFN against the page table (tests only;
-        #: invalid under migration, where in-flight translations may race a
-        #: concurrent remap).
-        self.verify_translations = verify_translations
-        if verify_translations and config.migration.enabled:
-            raise ConfigError("verify_translations is racy under migration")
         self.queue = EventQueue()
         #: Translation-path tracer: a no-op unless ``trace=True``, in which
         #: case every component stamps cycle-accurate phase transitions
@@ -257,9 +255,7 @@ class McmGpuSimulator:
         #: traced run's SimResult is bit-identical to an untraced one.
         self.tracer = RecordingTracer(self.queue) if trace else NULL_TRACER
         self.page_scale = config.page_size // PAGE_SIZE_4K
-        #: The data-access closures read the per-access observer (see
-        #: :attr:`pfn_observer`) from this one slot, not through ``self``.
-        self._observer_slot: list = [None]
+        self._pfn_observer = None
         #: Set by :meth:`run`: a simulator runs once.
         self._spent = False
         with _collector_paused():
@@ -278,12 +274,16 @@ class McmGpuSimulator:
     def pfn_observer(self):
         """Optional per-access observer ``(chiplet, stream, pasid, vpn,
         pfn)`` called with every delivered translation (differential
-        harness).  May be attached any time before :meth:`run`."""
-        return self._observer_slot[0]
+        harness).  May be attached any time before :meth:`run`: it is
+        handed to every stream built so far and to every stream a tenant
+        arrival builds."""
+        return self._pfn_observer
 
     @pfn_observer.setter
     def pfn_observer(self, observer) -> None:
-        self._observer_slot[0] = observer
+        self._pfn_observer = observer
+        for stream in self.streams:
+            stream.observer = observer
 
     # -- construction -------------------------------------------------------
 
@@ -310,9 +310,6 @@ class McmGpuSimulator:
         self.sharing_mesh = (Mesh(self.queue, cfg.mesh, cfg.num_chiplets,
                                   oracle=True)
                              if cfg.oracle_sharing else self.mesh)
-        self.fabric = MemoryFabric(self.queue, self.memory_map, self.mesh,
-                                   cfg.dram_latency,
-                                   dram_serialization=cfg.dram_serialization)
         self.pcie = DuplexLink(self.queue, cfg.pcie, name="pcie")
 
         #: PASIDs torn down mid-run: one set, handed to every dead-PASID
@@ -346,8 +343,7 @@ class McmGpuSimulator:
 
         self.chiplets: list[Chiplet] = []
         self.agents: dict[int, CoalescingAgent] = {}
-        fbarre_handlers: dict[int, FBarreHandler] = {}
-        least_handlers: dict[int, LeastHandler] = {}
+        peer_handlers: dict[int, PeerHandler] = {}
         for cid in range(cfg.num_chiplets):
             l2 = shared_l2 if shared_l2 is not None else Tlb(
                 cfg.l2_tlb, name=f"l2.{cid}", tracer=self.tracer)
@@ -367,12 +363,12 @@ class McmGpuSimulator:
                 handler = FBarreHandler(
                     self.queue, cid, agent, self.sharing_mesh, base,
                     cfg.l2_tlb.lookup_latency, tracer=self.tracer)
-                fbarre_handlers[cid] = handler
+                peer_handlers[cid] = handler
             elif cfg.backend is BackendKind.LEAST:
                 handler = LeastHandler(self.queue, cid, self.mesh, base,
                                        cfg.l2_tlb.lookup_latency,
                                        tracer=self.tracer)
-                least_handlers[cid] = handler
+                peer_handlers[cid] = handler
             chiplet = Chiplet(
                 self.queue, cid, cfg, l2, l2_mshr, handler,
                 valkyrie_l1_probing=cfg.backend is BackendKind.VALKYRIE,
@@ -381,8 +377,15 @@ class McmGpuSimulator:
             if isinstance(base, AtsHandler):
                 base.on_prefetch_fill = chiplet.fill_l2_prefetch
             self.chiplets.append(chiplet)
-        for cid, handler in fbarre_handlers.items():
-            handler.peers = fbarre_handlers
+        # A peer serves an F-Barre request with its agent, a Least probe
+        # with its L2.
+        serves = ({cid: agent.handle_peer_request
+                   for cid, agent in self.agents.items()}
+                  if cfg.backend is BackendKind.FBARRE else
+                  {c.chiplet_id: c.l2.probe for c in self.chiplets})
+        for cid, handler in peer_handlers.items():
+            handler.peers = {peer: serve for peer, serve in serves.items()
+                             if peer != cid}
         for cid, agent in self.agents.items():
             agent.connect({
                 peer: (self.sharing_mesh.link(cid, peer).send,
@@ -390,15 +393,16 @@ class McmGpuSimulator:
                 for peer in self.agents if peer != cid})
         if self.iommu is not None:
             self._bind_ats_route()
-        for cid, handler in least_handlers.items():
-            handler.peer_l2s = {c.chiplet_id: c.l2 for c in self.chiplets
-                                if c.chiplet_id != cid}
 
         self.migration: MigrationEngine | None = None
         if cfg.migration.enabled:
             self.migration = MigrationEngine(
                 self.queue, cfg.migration, self.driver, self.chiplets,
                 self.mesh, page_scale=self.page_scale)
+        self.fabric = MemoryFabric(self.queue, self.memory_map, self.mesh,
+                                   cfg.dram_latency,
+                                   dram_serialization=cfg.dram_serialization,
+                                   migration=self.migration)
 
         self._streams_by_pasid: dict[int, list[AccessStream]] = {}
         self._teardowns = 0
@@ -492,40 +496,14 @@ class McmGpuSimulator:
                 buckets[index % cfg.streams_per_chiplet].extend(accesses)
             for sid, accesses in enumerate(buckets):
                 if accesses:
-                    streams.append(AccessStream(
+                    stream = AccessStream(
                         self.queue, sid, accesses, cfg.stream_window,
-                        translate=chiplet.translate,
-                        access_data=self._make_data_access(cid),
-                        chiplet_id=cid, tracer=self.tracer))
+                        translate=chiplet.translate, fabric=self.fabric,
+                        chiplet_id=cid, tracer=self.tracer)
+                    stream.observer = self._pfn_observer
+                    streams.append(stream)
         self.streams.extend(streams)
         return streams
-
-    def _make_data_access(self, cid: int):
-        # verify_translations and the migration engine are fixed before the
-        # streams are built; only pfn_observer may be attached later, so it
-        # alone is re-read per access, from its slot.  The closure holds
-        # no reference to the simulator, so a stream never cycles back.
-        spaces = self.spaces if self.verify_translations else None
-        observer_slot = self._observer_slot
-        migration = self.migration
-        fabric_access = self.fabric.access
-        owner_of = self.fabric.owner_of
-
-        def access(stream_id: int, pasid: int, vpn: int, pfn: int,
-                   done) -> None:
-            if spaces is not None:
-                expected = spaces.get(pasid).walk(vpn).global_pfn
-                if pfn != expected:
-                    raise SimulationError(
-                        f"wrong translation: VPN {vpn:#x} -> {pfn:#x}, "
-                        f"page table says {expected:#x}")
-            observer = observer_slot[0]
-            if observer is not None:
-                observer(cid, stream_id, pasid, vpn, pfn)
-            if migration is not None:
-                migration.note_access(cid, owner_of(pfn), pasid, vpn)
-            fabric_access(cid, pfn, done)
-        return access
 
     # -- tenant lifecycle (scenario mode) ------------------------------------
 
@@ -646,9 +624,6 @@ class McmGpuSimulator:
         for agent in self.agents.values():
             agent._routes = ()
             agent.l2.on_insert = agent.l2.on_evict = None
-        for chiplet in self.chiplets:
-            if isinstance(chiplet.miss_handler, FBarreHandler):
-                chiplet.miss_handler.peers = {}
         for handler in self._ats_handlers.values():
             handler.on_prefetch_fill = None
         if self.iommu is not None:

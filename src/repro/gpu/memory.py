@@ -9,12 +9,15 @@ NUMA effect that makes coarse (super-page) mappings lose on hot-page apps
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.common.config import MemoryMap
 from repro.common.events import EventQueue
 from repro.common.stats import StatSet
 from repro.memsim.links import Mesh
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.migration.acud import MigrationEngine
 
 
 class MemoryFabric:
@@ -24,13 +27,16 @@ class MemoryFabric:
     ``dram_serialization`` cycles apiece per owner.  When a coarse mapping
     concentrates hot data on one chiplet (super pages, round-robin misfits),
     that chiplet's queue grows — the hot-chiplet effect behind Fig 2/25/26.
+    Every remote access is reported to the ``migration`` engine, if any.
     """
 
     def __init__(self, queue: EventQueue, memory_map: MemoryMap, mesh: Mesh,
-                 dram_latency: int, dram_serialization: int = 2) -> None:
+                 dram_latency: int, dram_serialization: int = 2,
+                 migration: MigrationEngine | None = None) -> None:
         self.queue = queue
         self.memory_map = memory_map
         self.mesh = mesh
+        self.migration = migration
         self.dram_latency = dram_latency
         self.dram_serialization = dram_serialization
         self.stats = StatSet("memory")
@@ -67,13 +73,14 @@ class MemoryFabric:
         self._obs_counts["dram_queueing"] += 1
         self._schedule(start + self.dram_latency - now, done)
 
-    def access(self, chiplet_id: int, global_pfn: int,
+    def access(self, chiplet_id: int, pasid: int, vpn: int, global_pfn: int,
                done: Callable[[], None]) -> None:
         """Serve one data access; ``done()`` fires when the data is back.
 
         The local path is :meth:`owner_of` and :meth:`_serve` inlined; a
-        remote access crosses the mesh to the owner, is served there and
-        returns, one bound-method partial per hop.
+        remote access is noted to the migration engine, crosses the mesh
+        to the owner, is served there and returns, one bound-method
+        partial per hop.
         """
         shift = self._owner_shift
         owner = (global_pfn >> shift if shift is not None
@@ -91,6 +98,8 @@ class MemoryFabric:
             self._schedule(start + self.dram_latency - now, done)
             return
         self._counters["remote_accesses"] += 1
+        if self.migration is not None:
+            self.migration.note_access(chiplet_id, owner, pasid, vpn)
         self._sends[chiplet_id][owner](
             None, partial(self._at_owner, owner, chiplet_id, done))
 

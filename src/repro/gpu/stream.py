@@ -12,11 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.common.events import EventQueue
 from repro.common.stats import LatencyHistogram, StatSet
 from repro.common.trace import NULL_TRACER
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.gpu.memory import MemoryFabric
 
 
 @dataclass(slots=True)
@@ -42,15 +45,18 @@ class AccessStream:
     def __init__(self, queue: EventQueue, stream_id: int,
                  accesses: Sequence[TraceAccess], window: int,
                  translate: Callable[[int, int, int, Callable], None],
-                 access_data: Callable[[int, int, int, int, Callable], None],
-                 *, chiplet_id: int = 0, tracer=NULL_TRACER) -> None:
+                 fabric: MemoryFabric, *, chiplet_id: int = 0,
+                 tracer=NULL_TRACER) -> None:
         self.queue = queue
         self.stream_id = stream_id
         self.accesses = accesses
         self.window = window
         self.translate = translate
-        self.access_data = access_data
         self.chiplet_id = chiplet_id
+        #: Optional ``(chiplet, stream, pasid, vpn, pfn)`` callback run
+        #: with every delivered translation, before its data access
+        #: (``McmGpuSimulator.pfn_observer`` sets it).
+        self.observer: Callable[[int, int, int, int, int], None] | None = None
         self.tracer = tracer
         self.stats = StatSet(f"stream.{stream_id}")
         # Per-issue hot-path caches: the tracer is fixed at construction
@@ -59,7 +65,7 @@ class AccessStream:
         self._counters = self.stats.counters
         self._schedule = queue.schedule
         self._translate = translate
-        self._access_data = access_data
+        self._access_data = fabric.access
         self._complete_cb = self._complete
         #: Full translation-latency distribution, the one record of it
         #: (always on; log2 buckets keep it cheap and make cross-worker
@@ -132,7 +138,10 @@ class AccessStream:
             hist.max = latency
         if span is not None:
             self.tracer.end(span)
-        self._access_data(self.stream_id, access.pasid, access.vpn,
+        if self.observer is not None:
+            self.observer(self.chiplet_id, self.stream_id, access.pasid,
+                          access.vpn, entry.global_pfn)
+        self._access_data(self.chiplet_id, access.pasid, access.vpn,
                           entry.global_pfn, self._complete_cb)
 
     def _issue_gap_over(self) -> None:

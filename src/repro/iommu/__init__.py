@@ -1,6 +1,6 @@
 """Host IOMMU: ATS packets, PW-queue, PTWs, PEC logic, scheduling."""
 
-from repro.iommu.ats import AtsRequest, AtsResponse, FILTER_UPDATE_BITS
+from repro.iommu.ats import AtsRequest, AtsResponse
 from repro.iommu.iommu import Iommu
 from repro.iommu.pec import PecLogic
 from repro.iommu.scheduler import select_next
@@ -8,7 +8,6 @@ from repro.iommu.scheduler import select_next
 __all__ = [
     "AtsRequest",
     "AtsResponse",
-    "FILTER_UPDATE_BITS",
     "Iommu",
     "PecLogic",
     "select_next",

@@ -14,10 +14,6 @@ from typing import Any
 
 from repro.memsim.pte import PteFields
 
-#: Filter-update message payload size (Section V-A2): 1-bit command +
-#: 3-bit sender chiplet id + 40-bit coalescing VPN.
-FILTER_UPDATE_BITS = 44
-
 
 @dataclass(slots=True)
 class AtsRequest:
@@ -26,10 +22,12 @@ class AtsRequest:
     pasid: int
     vpn: int
     src_chiplet: int
-    issue_time: int
     #: True for translations speculatively requested (Valkyrie L2 prefetch);
     #: these never block real requests in PEC bookkeeping.
     prefetch: bool = False
+    #: Cycle the request reached the walk source, set by ``Iommu.receive``;
+    #: its processing time is charged from here.
+    arrival: int = 0
 
 
 @dataclass(slots=True)
@@ -48,7 +46,3 @@ class AtsResponse:
     #: PEC-buffer descriptor for the data (None when uncoalesced).
     pec: Any = None
     prefetch: bool = False
-
-    @property
-    def coalesced(self) -> bool:
-        return self.source == "pec"

@@ -93,7 +93,6 @@ class Iommu:
         self._pending: deque[AtsRequest] = deque()
         self._walking: dict[tuple[int, int], _WalkState] = {}
         self._free_ptws = config.num_ptws
-        self._arrival: dict[int, int] = {}
         #: Demand-paging hook: maps the faulting page(s) and returns the
         #: fault-service latency in cycles (None disables demand faults —
         #: an unmapped VPN is then a hard error).
@@ -126,7 +125,7 @@ class Iommu:
             if self._last_vpn is not None:
                 self._gap_buckets[abs(request.vpn - self._last_vpn)] += 1
             self._last_vpn = request.vpn
-        self._arrival[id(request)] = self.queue.now
+        request.arrival = self.queue.now
         if self._tlb is not None:
             hit = self._tlb.lookup(request.pasid, request.vpn)
             if hit is not None:
@@ -159,7 +158,6 @@ class Iommu:
             self.stats.bump("prefetches_dropped")
             if self.pasid_counters is not None:
                 self.pasid_counters[request.pasid]["prefetches_dropped"] += 1
-            self._arrival.pop(id(request), None)
             return
         # Same-key requests already queued are merged at dispatch time.
         self._pending.append(request)
@@ -198,7 +196,6 @@ class Iommu:
                 self._counters["teardown_flushed"] += 1
                 if self.pasid_counters is not None:
                     self.pasid_counters[request.pasid]["teardown_flushed"] += 1
-                self._arrival.pop(id(request), None)
                 continue
             self._walking[key] = _WalkState(request.pasid, request.vpn,
                                             [request])
@@ -227,8 +224,6 @@ class Iommu:
             del self._walking[key]
             self._free_ptws += 1
             self.stats.bump("dead_walks")
-            for request in walk.requests:
-                self._arrival.pop(id(request), None)
             self._dispatch()
             return
         table = self.spaces.get(walk.pasid)
@@ -320,8 +315,7 @@ class Iommu:
                 source: str) -> None:
         now = self.queue.now
         # ``stats.observe("processing_time", ...)``, in place.
-        self._sums["processing_time"] += now - self._arrival.pop(id(request),
-                                                                 now)
+        self._sums["processing_time"] += now - request.arrival
         self._obs_counts["processing_time"] += 1
         if self._trace_on and not request.prefetch:
             self.tracer.phase(request.pasid, request.vpn, "reply")
@@ -351,7 +345,6 @@ class Iommu:
             for request in self._pending:
                 if request.pasid == pasid:
                     flushed += 1
-                    self._arrival.pop(id(request), None)
                 else:
                     survivors.append(request)
             self._pending = survivors

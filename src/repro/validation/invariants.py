@@ -11,7 +11,7 @@ Checked invariants:
 * **PEC correctness** — every PFN a :class:`~repro.iommu.pec.PecLogic`
   calculates equals what a page-table walk of the pending VPN returns
   (skipped under migration, where in-flight calculations legitimately
-  race remaps — the same caveat as ``verify_translations``).
+  race remaps — the same caveat as the tests' ``verify_translations``).
 * **Filter honesty** — the F-Barre LCF/RCFs may false-positive but must
   never false-negative for a key whose insert succeeded and which has not
   been deleted since.  Enforced by :class:`CheckedCuckooFilter` shadows.

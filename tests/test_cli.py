@@ -83,8 +83,8 @@ def test_validate_rejects_unknown_scheme():
 
 def test_all_figures_registered():
     # 18 paper figures (fig27 split a/b) + table1 + area + the on-demand
-    # and multi-tenant-churn extensions + 3 ablations.
-    assert len(FIGURES) == 26
+    # extension + 3 ablations.
+    assert len(FIGURES) == 25
     assert len(SCHEMES) == 7
 
 

@@ -45,7 +45,7 @@ def test_pw_queue_overflow_is_counted():
     rec = driver.malloc(AllocationRequest(data_id=1, pages=16, row_pages=8))
     for i in range(10):
         iommu.receive(AtsRequest(pasid=0, vpn=rec.start_vpn + i,
-                                 src_chiplet=0, issue_time=0))
+                                 src_chiplet=0))
     assert iommu.stats.count("pw_queue_overflows") > 0
     queue.run()
     assert len(responses) == 10  # overflow delays, never drops, demands
@@ -53,8 +53,7 @@ def test_pw_queue_overflow_is_counted():
 
 def test_unmapped_walk_without_fault_handler_is_an_error():
     queue, driver, iommu, _responses = make_iommu()
-    iommu.receive(AtsRequest(pasid=0, vpn=0x9999, src_chiplet=0,
-                             issue_time=0))
+    iommu.receive(AtsRequest(pasid=0, vpn=0x9999, src_chiplet=0))
     driver.spaces.create(0) if 0 not in driver.spaces else None
     with pytest.raises(Exception):
         queue.run()
@@ -63,10 +62,8 @@ def test_unmapped_walk_without_fault_handler_is_an_error():
 def test_processing_time_includes_queueing():
     queue, driver, iommu, _responses = make_iommu(num_ptws=1, walk=100)
     rec = driver.malloc(AllocationRequest(data_id=1, pages=4, row_pages=2))
-    iommu.receive(AtsRequest(pasid=0, vpn=rec.start_vpn, src_chiplet=0,
-                             issue_time=0))
-    iommu.receive(AtsRequest(pasid=0, vpn=rec.start_vpn + 1, src_chiplet=0,
-                             issue_time=0))
+    iommu.receive(AtsRequest(pasid=0, vpn=rec.start_vpn, src_chiplet=0))
+    iommu.receive(AtsRequest(pasid=0, vpn=rec.start_vpn + 1, src_chiplet=0))
     queue.run()
     # Second request waited 100 cycles for the walker: mean = 150.
     assert iommu.stats.mean("processing_time") == 150
@@ -112,7 +109,8 @@ class TestFBarreRemoteMissFallback:
             handlers[cid] = FBarreHandler(queue, cid, agents[cid], mesh,
                                           ats[cid], 10)
         for cid in range(2):
-            handlers[cid].peers = handlers
+            handlers[cid].peers = {p: agents[p].handle_peer_request
+                                   for p in range(2) if p != cid}
         connect_directly(agents)
 
         # GPU0 holds the entry; GPU1's RCF learns of it...
@@ -142,7 +140,7 @@ def test_memory_fabric_hot_chiplet_queues():
                           dram_serialization=10)
     times = []
     for _ in range(4):
-        fabric.access(0, 5, lambda: times.append(queue.now))
+        fabric.access(0, 0, 0, 5, lambda: times.append(queue.now))
     queue.run()
     assert times == [100, 110, 120, 130]
     assert fabric.stats.mean("dram_queueing") == (0 + 10 + 20 + 30) / 4

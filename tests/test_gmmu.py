@@ -38,7 +38,7 @@ def make_gmmu(chiplet_id=0, barre=False, walk=100):
 
 
 def req(vpn, chiplet=0):
-    return AtsRequest(pasid=0, vpn=vpn, src_chiplet=chiplet, issue_time=0)
+    return AtsRequest(pasid=0, vpn=vpn, src_chiplet=chiplet)
 
 
 def test_local_walk_costs_base_latency():

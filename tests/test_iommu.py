@@ -35,7 +35,7 @@ def simple_setup(num_ptws=2, walk_latency=100, barre=False, num_chiplets=4,
 
 
 def req(vpn, chiplet=0, pasid=0):
-    return AtsRequest(pasid=pasid, vpn=vpn, src_chiplet=chiplet, issue_time=0)
+    return AtsRequest(pasid=pasid, vpn=vpn, src_chiplet=chiplet)
 
 
 def test_single_walk_latency():

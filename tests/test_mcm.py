@@ -12,6 +12,7 @@ from repro.common import BackendKind, ConfigError, MappingKind, SimConfig
 from repro.experiments import configs
 from repro.gpu import McmGpuSimulator
 from repro.workloads import get_workload
+from tests.translation_check import verify_translations
 
 SCALE = 0.08  # small but exercises every path
 
@@ -39,8 +40,8 @@ ALL_BACKENDS = [
 @pytest.mark.parametrize("app", ["fft", "st2d", "spmv"])
 def test_every_backend_translates_correctly(cfg, app):
     """All schemes drain the trace and never deliver a wrong PFN."""
-    sim = McmGpuSimulator(cfg, [get_workload(app)], trace_scale=SCALE,
-                          verify_translations=True)
+    sim = verify_translations(
+        McmGpuSimulator(cfg, [get_workload(app)], trace_scale=SCALE))
     result = sim.run()
     assert result.cycles > 0
     assert result.l2_misses <= result.l2_lookups
@@ -117,6 +118,42 @@ def test_migration_runs_and_migrates():
     assert result.migrations > 0
 
 
+def test_migration_engine_sees_every_remote_access(monkeypatch):
+    """The fabric notes each remote access, and only those, to migration."""
+    from repro.migration.acud import MigrationEngine
+    noted = []
+    real_note_access = MigrationEngine.note_access
+
+    def note_access(self, accessor, owner, pasid, vpn):
+        noted.append(accessor != owner)
+        real_note_access(self, accessor, owner, pasid, vpn)
+
+    monkeypatch.setattr(MigrationEngine, "note_access", note_access)
+    cfg = configs.with_migration(configs.baseline(), threshold=4)
+    sim = McmGpuSimulator(cfg, [get_workload("pr")], trace_scale=SCALE)
+    result = sim.run()
+    assert result.migrations > 0
+    assert all(noted)
+    assert len(noted) == sim.fabric.stats.count("remote_accesses") > 0
+
+
+@pytest.mark.parametrize("app", ["gemv", "churn-min"])
+def test_pfn_observer_set_after_build_sees_every_translation(app):
+    """An observer attached after build sees each delivered translation
+    once, including those of streams a tenant arrival builds mid-run."""
+    from repro.scenarios import ScenarioWorkload, named_scenario
+    scenario = app == "churn-min"
+    workload = (ScenarioWorkload.from_scenario(named_scenario(app))
+                if scenario else get_workload(app))
+    sim = McmGpuSimulator(configs.fbarre(), [workload], trace_scale=SCALE)
+    assert bool(sim.streams) is not scenario
+    seen = []
+    sim.pfn_observer = lambda *access: seen.append(access)
+    result = sim.run()
+    assert seen
+    assert len(seen) == result.translation_latency.total()
+
+
 def test_migration_with_fbarre_stays_correct():
     """Migrated pages leave their groups; translations still complete."""
     cfg = configs.with_migration(configs.fbarre(), threshold=4)
@@ -130,9 +167,8 @@ def test_multiapp_runs_with_distinct_pasids():
     first = get_workload("gemv")
     second = get_workload("fft")
     second.pasid = 1
-    result = McmGpuSimulator(configs.fbarre(), [first, second],
-                             trace_scale=SCALE,
-                             verify_translations=True).run()
+    result = verify_translations(McmGpuSimulator(
+        configs.fbarre(), [first, second], trace_scale=SCALE)).run()
     assert result.app == "gemv+fft"
     assert result.cycles > 0
 
@@ -143,18 +179,19 @@ def test_duplicate_pasids_rejected():
                         [get_workload("gemv"), get_workload("fft")])
 
 
-def test_verify_rejected_under_migration():
+def test_verify_helper_rejects_migration():
+    sim = McmGpuSimulator(configs.with_migration(configs.baseline()),
+                          [get_workload("gemv")], trace_scale=SCALE)
     with pytest.raises(ConfigError):
-        McmGpuSimulator(configs.with_migration(configs.baseline()),
-                        [get_workload("gemv")], verify_translations=True)
+        verify_translations(sim)
+    assert sim.pfn_observer is None
 
 
 def test_chiplet_scaling_configs_build():
     for chiplets in (2, 8, 16):
         cfg = configs.fbarre(num_chiplets=chiplets)
-        result = McmGpuSimulator(cfg, [get_workload("fft")],
-                                 trace_scale=SCALE,
-                                 verify_translations=True).run()
+        result = verify_translations(McmGpuSimulator(
+            cfg, [get_workload("fft")], trace_scale=SCALE)).run()
         assert result.cycles > 0
 
 
@@ -162,9 +199,8 @@ def test_page_sizes_run():
     from repro.common import PAGE_SIZE_2M, PAGE_SIZE_64K
     for size in (PAGE_SIZE_64K, PAGE_SIZE_2M):
         cfg = configs.fbarre(page_size=size)
-        result = McmGpuSimulator(cfg, [get_workload("st2d")],
-                                 trace_scale=SCALE,
-                                 verify_translations=True).run()
+        result = verify_translations(McmGpuSimulator(
+            cfg, [get_workload("st2d")], trace_scale=SCALE)).run()
         assert result.cycles > 0
 
 
@@ -172,9 +208,8 @@ def test_mapping_policies_run_correctly():
     for mapping in (MappingKind.ROUND_ROBIN, MappingKind.CHUNKING,
                     MappingKind.CODA):
         cfg = configs.fbarre(mapping=mapping)
-        result = McmGpuSimulator(cfg, [get_workload("atax")],
-                                 trace_scale=SCALE,
-                                 verify_translations=True).run()
+        result = verify_translations(McmGpuSimulator(
+            cfg, [get_workload("atax")], trace_scale=SCALE)).run()
         assert result.cycles > 0
 
 
@@ -185,8 +220,8 @@ def test_mid_run_shootdown_is_survivable():
     arbitrary point; all later translations must still verify against the
     page table and the run must drain.
     """
-    sim = McmGpuSimulator(configs.fbarre(), [get_workload("st2d")],
-                          trace_scale=SCALE, verify_translations=True)
+    sim = verify_translations(McmGpuSimulator(
+        configs.fbarre(), [get_workload("st2d")], trace_scale=SCALE))
     for when in (2_000, 9_000):
         sim.queue.schedule(when, lambda: [c.shootdown() for c in sim.chiplets])
     result = sim.run()
@@ -201,9 +236,8 @@ def test_all_19_apps_run_under_fbarre():
     """Every Table I workload drains with verified translations."""
     from repro.workloads import APP_ORDER
     for app in APP_ORDER:
-        result = McmGpuSimulator(configs.fbarre(), [get_workload(app)],
-                                 trace_scale=0.03,
-                                 verify_translations=True).run()
+        result = verify_translations(McmGpuSimulator(
+            configs.fbarre(), [get_workload(app)], trace_scale=0.03)).run()
         assert result.cycles > 0, app
         assert result.instructions > 0, app
 

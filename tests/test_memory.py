@@ -23,7 +23,7 @@ def make_fabric(dram=100, mesh_latency=32, frames_per_chiplet=1000):
 def test_local_access_costs_dram_only():
     q, fabric = make_fabric()
     times = []
-    fabric.access(0, 5, lambda: times.append(q.now))
+    fabric.access(0, 0, 0, 5, lambda: times.append(q.now))
     q.run()
     assert times == [100]
     assert fabric.stats.count("local_accesses") == 1
@@ -32,7 +32,8 @@ def test_local_access_costs_dram_only():
 def test_remote_access_adds_mesh_round_trip():
     q, fabric = make_fabric()
     times = []
-    fabric.access(0, 2500, lambda: times.append(q.now))  # chiplet 2's frame
+    # Frame 2500 is chiplet 2's.
+    fabric.access(0, 0, 0, 2500, lambda: times.append(q.now))
     q.run()
     assert times == [100 + 2 * 32]
     assert fabric.stats.count("remote_accesses") == 1

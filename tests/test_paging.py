@@ -14,6 +14,7 @@ from repro.mapping import (
 from repro.memsim import AddressSpaceRegistry
 from repro.paging import DemandPager
 from repro.workloads import get_workload
+from tests.translation_check import verify_translations
 
 
 def make_driver(barre=True, num_chiplets=4, frames=512):
@@ -104,9 +105,8 @@ class TestDemandPager:
 class TestEndToEnd:
     def test_demand_paging_runs_and_faults(self):
         cfg = configs.baseline(demand_paging=True, fault_latency=2000)
-        result = McmGpuSimulator(cfg, [get_workload("fft")],
-                                 trace_scale=0.05,
-                                 verify_translations=True).run()
+        result = verify_translations(McmGpuSimulator(
+            cfg, [get_workload("fft")], trace_scale=0.05)).run()
         assert result.page_faults > 0
         assert result.pages_per_fault >= 1.0
 
@@ -124,9 +124,8 @@ class TestEndToEnd:
 
     def test_demand_paging_with_gmmu(self):
         cfg = configs.mgvm(barre_chord=True).replace(demand_paging=True)
-        result = McmGpuSimulator(cfg, [get_workload("fft")],
-                                 trace_scale=0.05,
-                                 verify_translations=True).run()
+        result = verify_translations(McmGpuSimulator(
+            cfg, [get_workload("fft")], trace_scale=0.05)).run()
         assert result.page_faults > 0
 
     def test_demand_paging_excludes_migration(self):

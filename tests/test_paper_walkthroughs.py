@@ -52,8 +52,7 @@ class TestFig7bIommuCoalescing:
         # at similar times, exactly as Fig 7b draws it.
         desc = rec.descriptor
         for chiplet, vpn in enumerate(desc.group_vpns(rec.start_vpn)):
-            iommu.receive(AtsRequest(pasid=0, vpn=vpn, src_chiplet=chiplet,
-                                     issue_time=0))
+            iommu.receive(AtsRequest(pasid=0, vpn=vpn, src_chiplet=chiplet))
         queue.run()
         assert len(responses) == 4
         assert queue.now == 500            # one walk's latency in total

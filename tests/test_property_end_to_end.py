@@ -4,7 +4,7 @@ These go beyond the Table I suite: hypothesis generates arbitrary small
 workloads (footprints, patterns, timing) and the invariants must hold for
 *every* one of them — most importantly that Barre/F-Barre's calculated
 translations never disagree with the page table (enforced per access by
-``verify_translations``).
+``tests.translation_check.verify_translations``).
 """
 
 import pytest
@@ -15,6 +15,7 @@ from repro.experiments import configs
 from repro.gpu import McmGpuSimulator
 from repro.validation import reference_translation
 from repro.workloads import DataSpec, Workload
+from tests.translation_check import verify_translations
 
 PATTERN_CHOICES = ["stream", "blocked", "stencil", "stride", "random",
                    "gather"]
@@ -52,8 +53,8 @@ def test_property_fbarre_translates_any_workload_correctly(
         workload, merge, seed):
     """Random workloads: F-Barre drains with verified translations."""
     cfg = configs.fbarre(merge=merge, seed=seed)
-    result = McmGpuSimulator(cfg, [workload], trace_scale=1.0,
-                             verify_translations=True).run()
+    result = verify_translations(
+        McmGpuSimulator(cfg, [workload], trace_scale=1.0)).run()
     assert result.cycles > 0
     assert result.l2_misses <= result.l2_lookups
 
@@ -206,9 +207,8 @@ def test_property_baseline_checked_run_is_timing_identical(workload, seed):
        seed=st.integers(min_value=0, max_value=2**16))
 def test_deep_fbarre_translates_any_workload_correctly(workload, merge, seed):
     cfg = configs.fbarre(merge=merge, seed=seed)
-    result = McmGpuSimulator(cfg, [workload], trace_scale=1.0,
-                             verify_translations=True,
-                             check_invariants=True).run()
+    result = verify_translations(McmGpuSimulator(
+        cfg, [workload], trace_scale=1.0, check_invariants=True)).run()
     assert result.cycles > 0
 
 

@@ -370,15 +370,7 @@ def test_cross_check_groups_by_mapping_kind():
     assert report.ok, report.describe()
 
 
-# -- figure plumbing -------------------------------------------------------
-
-def test_churn_figure_registered_and_collectible():
-    from repro.experiments.registry import FIGURES, figure_points
-    assert "ext-churn" in FIGURES
-    points = figure_points("ext-churn")
-    assert len(points) == 9  # 3 scenarios x {baseline, barre, fbarre}
-    assert all(getattr(p.app, "scenario", None) is not None for p in points)
-
+# -- scenario plumbing ----------------------------------------------------
 
 def test_scenario_cache_keys_distinguish_seeds():
     a = ScenarioWorkload.from_scenario(named_scenario("churn-min", 0))

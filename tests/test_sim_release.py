@@ -1,9 +1,9 @@
 """A finished simulator is freed by reference counting alone.
 
 ``McmGpuSimulator.run`` ends by releasing the links ``_build`` wired that
-close reference cycles (agent routes and L2 hooks, F-Barre peer tables,
-the IOMMU/GMMU response routes, Valkyrie's prefetch fill, each stream's
-completion callback).  Per-access callbacks are partials that live until
+close reference cycles (agent routes and L2 hooks, the IOMMU/GMMU
+response routes, Valkyrie's prefetch fill, each stream's completion
+callback).  Per-access callbacks are partials that live until
 their event fires, and the few routes built at construction close over
 the part they need, never over the simulator.  So once its last name goes,
 nothing is left for the cyclic collector.  Runs with the invariant

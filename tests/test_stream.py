@@ -10,11 +10,12 @@ def make_stream(queue, accesses, window=4, translate_latency=10,
         queue.schedule(translate_latency,
                        lambda: cb(type("E", (), {"global_pfn": vpn + 100})()))
 
-    def access_data(stream_id, pasid, vpn, pfn, cb):
-        queue.schedule(data_latency, cb)
+    class Fabric:
+        def access(self, chiplet_id, pasid, vpn, pfn, cb):
+            queue.schedule(data_latency, cb)
 
     return AccessStream(queue, 0, accesses, window,
-                        translate=translate, access_data=access_data)
+                        translate=translate, fabric=Fabric())
 
 
 def accesses(n, gap=0, weight=2.0):

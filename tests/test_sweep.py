@@ -245,7 +245,7 @@ class TestPointKeys:
 
     def test_memoized_keys_match_fresh_json_on_the_full_set(self):
         points = [p for name in FIGURES for p in figure_points(name, SCALE)]
-        assert len(points) == 1136
+        assert len(points) == 1127
         for _ in range(2):
             for p in points:
                 fresh = "|".join([runner_mod.SIM_VERSION,
@@ -263,9 +263,9 @@ class TestPointKeys:
             row = (p.abbr, p.tag, f"{p.scale:.4f}", p.pair_with,
                    point_digest(p.key()))
             plan.update(f"{row!r}\n".encode())
-        assert (len(points), len({p.key() for p in points})) == (1136, 728)
+        assert (len(points), len({p.key() for p in points})) == (1127, 719)
         assert plan.hexdigest() == (
-            "4ec235f17cc56e7b572d44f2c7fb621fde80f82ed1709c9ed32e21c1ae95d1f1")
+            "bbe8ba17da081fdfa84c187de31cbc4136788c073a3609929d7a4b90d7c8cef3")
 
     def test_cache_dir_follows_the_environment_mid_process(self, tmp_path,
                                                             monkeypatch):

@@ -121,7 +121,7 @@ def make_least_pair():
     for cid in range(2):
         handler = LeastHandler(rig.queue, cid, mesh, rig.handlers[cid],
                                l2_probe_latency=10)
-        handler.peer_l2s = {p: l2s[p] for p in range(2) if p != cid}
+        handler.peers = {p: l2s[p].probe for p in range(2) if p != cid}
         handlers[cid] = handler
     return rig, l2s, handlers
 
@@ -165,7 +165,8 @@ def make_fbarre_pair(rig):
         handlers[cid] = FBarreHandler(rig.queue, cid, agent, mesh,
                                       rig.handlers[cid], l2_probe_latency=10)
     for cid in range(2):
-        handlers[cid].peers = handlers
+        handlers[cid].peers = {p: agents[p].handle_peer_request
+                               for p in range(2) if p != cid}
     connect_directly(agents)
     return handlers, agents, l2s
 
